@@ -11,8 +11,9 @@ the ``usable()`` predicate (see DESIGN.md §7).
 :class:`DegradedVenice` owns that mask for one
 :class:`~repro.venice.network.VeniceNetwork`:
 
-* ``set_link`` / ``set_router`` mutate the network's dead sets (which the
-  inlined scout walk consults) and bump a *fault epoch*;
+* ``set_link`` / ``set_router`` mutate the network's dead sets, refresh
+  the affected bits of its open-port masks (which the scout walk reads)
+  and bump a *fault epoch*;
 * :meth:`is_partitioned` answers "can any scout ever reach this chip" by a
   BFS over the alive topology from every alive injection drop point,
   memoised per epoch -- reservation *failures* on a connected mesh retry,
@@ -63,6 +64,7 @@ class DegradedVenice:
             self.network._dead_links.add(edge)
         else:
             self.network._dead_links.discard(edge)
+        self.network._refresh_link(edge)
         self.epoch += 1
 
     def set_router(self, node: Coord, down: bool = True) -> None:
@@ -77,6 +79,7 @@ class DegradedVenice:
             self.network._dead_routers.add(node)
         else:
             self.network._dead_routers.discard(node)
+        self.network._refresh_router(node)
         self.epoch += 1
 
     @property

@@ -7,8 +7,10 @@ For each transfer phase the fabric:
    request queues FIFO on the controller pool,
 2. sends a reserve-mode scout packet (:meth:`VeniceNetwork.try_reserve`);
    on failure the FC "retries the path reservation process immediately by
-   sending a new scout packet" -- modelled with a small retry gap so other
-   circuits can release in between,
+   sending a new scout packet".  Nothing can change a failed scout's outcome
+   until some circuit releases or a fault transitions, so the failed
+   transfer parks and the fabric re-sends its scout in place at each such
+   event (DESIGN.md §3),
 3. charges the scout round trip (forward + return over the reserved path),
 4. holds the circuit for the Equation (1) serialization time of the payload,
 5. releases the circuit and the controller.
@@ -28,15 +30,15 @@ assumption it implies (multiple DMA contexts per controller).
 
 from __future__ import annotations
 
-from typing import Generator, List, Tuple
+from typing import Generator, List, Optional, Tuple
 
 from repro.config.ssd_config import DesignKind, SsdConfig
-from repro.errors import ReservationError, RoutingError
+from repro.errors import RoutingError
 from repro.interconnect.base import Fabric, make_outcome
 from repro.nand.address import ChipAddress
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, OneShotEvent
 from repro.sim.resources import ResourcePool
-from repro.venice.network import ReservedCircuit, VeniceNetwork
+from repro.venice.network import ReservedCircuit, ScoutResult, VeniceNetwork
 from repro.venice.scout import (
     FlitMode,
     ScoutPacket,
@@ -75,10 +77,11 @@ class VeniceFabric(Fabric):
             )
             for home in range(config.geometry.channels)
         ]
-        # Event-driven retry: failed scouts park here and are woken when any
-        # circuit releases or any fault transitions (the only events that
-        # can change a reservation's outcome).
-        self._release_epoch = engine.event("venice-release-epoch")
+        # Event-driven retry: failed scouts park here, in FIFO order, and are
+        # re-sent in place when any circuit releases or any fault
+        # transitions (the only events that can change a reservation's
+        # outcome); see _notify_release.
+        self._parked: List[_Scout] = []
 
     # ------------------------------------------------------------------ #
     # fault injection (DESIGN.md §7)
@@ -244,106 +247,67 @@ class VeniceFabric(Fabric):
         if fc_waited:
             self.fc_waits += 1
 
-        packet = ScoutPacket(
-            destination_chip=chip.flat_index(self.config.geometry),
-            source_fc=fc_index,
-            mode=FlitMode.RESERVE,
-            dest_bits=self.dest_bits,
-            fc_bits=self.fc_bits,
-        )
-
-        total_attempts = 0
-        first_attempt_failed = False
-        chip_busy_wait = False
-        circuit = None
-        scout_hops = 0
+        scout = _Scout(self._packet(chip, fc_index), destination, fc_index, fc_lease)
         maze_retries = 0
-        while circuit is None:
-            total_attempts += 1
-            result = self.network.try_reserve(packet, destination)
-            self.stats.scout_attempts_total += 1
-            scout_hops = result.scout_hops
-            if result.succeeded:
-                circuit = result.circuit
-                break
-            if result.failed_on_chip:
-                # Waiting on the target chip's own interface: chip busyness,
-                # not a path conflict (§3.3's ideal-SSD distinction).
-                chip_busy_wait = True
-            elif total_attempts >= 1 and not chip_busy_wait:
-                if total_attempts == 1:
-                    first_attempt_failed = True
-            self.stats.scout_failures_total += 1
-            if result.failure_reason == "path" and (
-                network._dead_links or network._dead_routers
-            ):
-                if network.is_partitioned(destination):
-                    # A failed scout on a connected mesh will eventually
-                    # succeed once circuits release; a partitioned
-                    # destination never will.  Fail loudly instead of
-                    # livelocking (DESIGN.md §7).
-                    self.fc_pool.release(fc_index, fc_lease)
-                    raise RoutingError(
-                        f"chip {destination} unreachable: injected faults "
-                        "partition it from every flash controller"
-                    )
-                degraded = network.degraded_mode()
-                if not degraded.fc_can_reach(fc_index, destination):
-                    # A fault transitioned while this controller held the
-                    # transfer and cut it off; hand the transfer to a
-                    # controller that still has an alive path.
-                    self.fc_pool.release(fc_index, fc_lease)
-                    fc_index, fc_lease = yield self.fc_pool.acquire_preferring(
-                        self._reachable_preference(
-                            self._fc_preference(chip), destination
-                        ),
-                        restrict=True,
-                    )
-                    packet = ScoutPacket(
-                        destination_chip=chip.flat_index(self.config.geometry),
-                        source_fc=fc_index,
-                        mode=FlitMode.RESERVE,
-                        dest_bits=self.dest_bits,
-                        fc_bits=self.fc_bits,
-                    )
-                    continue
-            if (
-                result.failure_reason == "path"
-                and not network.circuits
-                and (network._dead_links or network._dead_routers)
-            ):
-                # No live circuit means no release event is coming: the
-                # failure is the fault maze itself (misroute/livelock budget
-                # exhausted on a connected mesh).  Retry on the hardware gap
-                # -- the LFSRs advance between attempts -- and fail loudly
-                # once the retry budget is spent rather than stalling.
-                maze_retries += 1
-                if maze_retries > self.config.interconnect.max_scout_retries:
-                    self.fc_pool.release(fc_index, fc_lease)
-                    raise RoutingError(
-                        f"no conflict-free route to {destination} within the "
-                        "misroute budget: the injected fault set leaves the "
-                        "mesh connected but unroutable for Algorithm 1"
-                    )
-                yield self.config.interconnect.scout_retry_gap_ns
+        result = self._attempt(scout)
+        while result.circuit is None:
+            if self._parks(scout, result):
+                # The paper's FC "retries immediately"; nothing can change
+                # until some circuit releases (or a fault transitions), so
+                # the transfer parks and _notify_release re-sends its scout
+                # in place, resuming here only with a success or with a
+                # failure that needs one of the fault-mode actions below.
+                scout.wakeup = self.engine.event("venice-parked-scout")
+                self._parked.append(scout)
+                result = yield scout.wakeup
                 continue
-            # The paper's FC "retries immediately"; nothing can change until
-            # some circuit releases (or a fault transitions), so the retry
-            # parks on the next release event instead of busy-spinning
-            # scouts through the mesh.
-            yield self._release_epoch
-
-        if circuit is None:  # pragma: no cover - loop only exits with a circuit
-            raise ReservationError("reservation loop exited without a circuit")
+            if network.is_partitioned(destination):
+                # A failed scout on a connected mesh will eventually succeed
+                # once circuits release; a partitioned destination never
+                # will.  Fail loudly instead of livelocking (DESIGN.md §7).
+                self.fc_pool.release(scout.fc_index, scout.fc_lease)
+                raise RoutingError(
+                    f"chip {destination} unreachable: injected faults "
+                    "partition it from every flash controller"
+                )
+            if not network.degraded_mode().fc_can_reach(scout.fc_index, destination):
+                # A fault transitioned while this controller held the
+                # transfer and cut it off; hand the transfer to a controller
+                # that still has an alive path.
+                self.fc_pool.release(scout.fc_index, scout.fc_lease)
+                scout.fc_index, scout.fc_lease = yield self.fc_pool.acquire_preferring(
+                    self._reachable_preference(self._fc_preference(chip), destination),
+                    restrict=True,
+                )
+                scout.packet = self._packet(chip, scout.fc_index)
+                result = self._attempt(scout)
+                continue
+            # No live circuit means no release event is coming: the failure
+            # is the fault maze itself (misroute/livelock budget exhausted on
+            # a connected mesh).  Retry on the hardware gap -- the LFSRs
+            # advance between attempts -- and fail loudly once the retry
+            # budget is spent rather than stalling.
+            maze_retries += 1
+            if maze_retries > self.config.interconnect.max_scout_retries:
+                self.fc_pool.release(scout.fc_index, scout.fc_lease)
+                raise RoutingError(
+                    f"no conflict-free route to {destination} within the "
+                    "misroute budget: the injected fault set leaves the "
+                    "mesh connected but unroutable for Algorithm 1"
+                )
+            yield self.config.interconnect.scout_retry_gap_ns
+            result = self._attempt(scout)
+        circuit = result.circuit
+        fc_index = scout.fc_index
 
         # Scout round trip before the transfer can start (§4.2: the FC
         # schedules the transfer once the scout returns over the backward
         # path).  The controller is busy exactly until its scout returns;
         # the established circuit then carries the transfer on its own.
         self.active_circuits_per_fc[fc_index] += 1
-        round_trip = self.scout_round_trip_ns(max(circuit.total_hops, scout_hops))
+        round_trip = self.scout_round_trip_ns(max(circuit.total_hops, result.scout_hops))
         yield round_trip
-        self.fc_pool.release(fc_index, fc_lease)
+        self.fc_pool.release(fc_index, scout.fc_lease)
 
         occupancy = self.circuit_transfer_ns(circuit, payload_bytes, include_command)
         if occupancy:
@@ -357,28 +321,89 @@ class VeniceFabric(Fabric):
         self.stats.link_hop_busy_ns += occupancy * max(1, circuit.mesh_hops)
         self.stats.router_active_ns += occupancy * len(circuit.nodes)
 
-        conflicted = first_attempt_failed
+        conflicted = scout.first_attempt_failed
         outcome = make_outcome(
-            waited=fc_waited or conflicted or chip_busy_wait,
+            waited=fc_waited or conflicted or scout.chip_busy_wait,
             conflicted=conflicted,
             start_ns=start,
             end_ns=self.engine.now,
             hops=circuit.total_hops,
             fc_index=fc_index,
-            scout_attempts=total_attempts,
+            scout_attempts=scout.attempts,
         )
         self._record(outcome, payload_bytes)
         return outcome
 
     # ------------------------------------------------------------------ #
 
-    def _notify_release(self) -> None:
-        """Wake every scout parked on a failed reservation."""
-        epoch, self._release_epoch = (
-            self._release_epoch,
-            self.engine.event("venice-release-epoch"),
+    def _packet(self, chip: ChipAddress, fc_index: int) -> ScoutPacket:
+        return ScoutPacket(
+            destination_chip=chip.flat_index(self.config.geometry),
+            source_fc=fc_index,
+            mode=FlitMode.RESERVE,
+            dest_bits=self.dest_bits,
+            fc_bits=self.fc_bits,
         )
-        epoch.succeed(None)
+
+    def _attempt(self, scout: "_Scout") -> ScoutResult:
+        """Send one scout, first attempt or retry, and account for it.
+
+        Path-conflict accounting follows §6.3: a transfer conflicts iff its
+        *first* scout fails on the path.  A failure on the target chip's own
+        interface is chip busyness, not a path conflict (§3.3's ideal-SSD
+        distinction).
+        """
+        scout.attempts += 1
+        result = self.network.try_reserve(scout.packet, scout.destination)
+        self.stats.scout_attempts_total += 1
+        if result.circuit is None:
+            if result.failed_on_chip:
+                scout.chip_busy_wait = True
+            elif scout.attempts == 1:
+                scout.first_attempt_failed = True
+            self.stats.scout_failures_total += 1
+        return result
+
+    def _parks(self, scout: "_Scout", result: ScoutResult) -> bool:
+        """True when a failed scout just waits for the next release.
+
+        On a faulted mesh a path failure may instead need the transfer's own
+        action: a partitioned destination raises, a controller cut off by a
+        fault hands the transfer over, and with no live circuit (so no
+        release coming) the scout retries on the hardware gap.
+        """
+        network = self.network
+        if result.failure_reason != "path" or not (
+            network._dead_links or network._dead_routers
+        ):
+            return True
+        destination = scout.destination
+        if network.is_partitioned(destination):
+            return False
+        if not network.degraded_mode().fc_can_reach(scout.fc_index, destination):
+            return False
+        return bool(network.circuits)
+
+    def _notify_release(self) -> None:
+        """Re-send every parked scout, in the order they parked.
+
+        Exact replacement for waking every parked transfer's generator:
+        :meth:`OneShotEvent.succeed` resumes waiters synchronously in FIFO
+        order (DESIGN.md §1), so retrying each scout here, in that order, and
+        resuming its transfer only when the scout succeeds or needs a
+        fault-mode action performs the same attempts in the same order.
+        Failed retries re-park in the same relative order.
+        """
+        parked = self._parked
+        if not parked:
+            return
+        self._parked = []
+        for scout in parked:
+            result = self._attempt(scout)
+            if result.circuit is None and self._parks(scout, result):
+                self._parked.append(scout)
+            else:
+                scout.wakeup.succeed(result)
 
     @property
     def first_try_success_fraction(self) -> float:
@@ -391,3 +416,28 @@ class VeniceFabric(Fabric):
         if not self.circuit_hop_histogram:
             return 0.0
         return sum(self.circuit_hop_histogram) / len(self.circuit_hop_histogram)
+
+
+class _Scout:
+    """One transfer's reservation state across its scout attempts."""
+
+    __slots__ = (
+        "packet",
+        "destination",
+        "fc_index",
+        "fc_lease",
+        "attempts",
+        "first_attempt_failed",
+        "chip_busy_wait",
+        "wakeup",
+    )
+
+    def __init__(self, packet: ScoutPacket, destination, fc_index: int, fc_lease) -> None:
+        self.packet = packet
+        self.destination = destination
+        self.fc_index = fc_index
+        self.fc_lease = fc_lease
+        self.attempts = 0
+        self.first_attempt_failed = False
+        self.chip_busy_wait = False
+        self.wakeup: Optional[OneShotEvent] = None  # set while parked

@@ -15,11 +15,18 @@ most once.  The walk therefore never extends the path onto a router that
 already holds this scout's entry; re-visiting a router is only possible
 after backtracking cleared its entry (which is also exactly when the paper
 allows a revisit).
+
+Because the walk is atomic, its tentative reservations are private to it:
+the walk keeps them in local state and writes router-table rows and link
+ownership only when it commits, so a failed scout leaves no shared state
+behind.  Each router's usable ports are kept as a 4-bit "open port"
+mask, updated at commit, release and fault transitions (DESIGN.md §3).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import ReservationError, RoutingError
@@ -36,6 +43,62 @@ from repro.venice.routing import (
     MINIMAL_DIRECTIONS_BY_SIGN as _MINIMAL_BY_SIGN,
 )
 from repro.venice.scout import FlitMode, ScoutPacket
+
+# Port indices are Direction.value (RIGHT 0, UP 1, DOWN 2, LEFT 3), so the
+# opposite of port ``d`` is ``3 - d`` and its mask bit is ``1 << d``.
+#: Input-port index of a scout standing at its source router (it arrived
+#: through the controller's injection port, not a mesh port).
+_FROM_FC = 4
+#: Router-table entry port per input-port index.
+_ENTRY_PORT = MESH_DIRECTIONS + (Direction.EJECT,)
+#: Per input-port index, the mask that clears that port's bit.
+_NOT_INPUT = (~1, ~2, ~4, ~8, -1)
+
+
+def _sign(value: int) -> int:
+    return (value > 0) - (value < 0)
+
+
+def _split(lists: List[tuple]) -> Tuple[tuple, tuple]:
+    """``(only, several)``: the sole candidate of each list (else ``None``),
+    and each list of 2+ candidates (else empty), which the LFSR picks from."""
+    only = tuple(ports[0] if len(ports) == 1 else None for ports in lists)
+    several = tuple(ports if len(ports) > 1 else () for ports in lists)
+    return only, several
+
+
+def _candidate_tables() -> Tuple[tuple, tuple, tuple, tuple]:
+    """Algorithm 1's ordered candidate lists for every open-port mask.
+
+    The minimal tables, indexed ``sign << 4 | mask``, hold lines 5-26's
+    list: the free ports of the minimal directions for the destination's
+    ``(Diff_x, Diff_y)`` sign class (``sign = 3 * (sign_x + 1) + sign_y +
+    1``), X before Y.  The misroute tables, indexed by ``mask``, hold lines
+    33-45's list: every free port in ``MESH_DIRECTIONS`` order (the walk has
+    already cleared the input port from ``mask``).
+    """
+    minimal = [
+        tuple(
+            port
+            for port in _MINIMAL_BY_SIGN[(sign // 3 - 1, sign % 3 - 1)]
+            if port is not Direction.EJECT and mask >> port.value & 1
+        )
+        for sign in range(9)
+        for mask in range(16)
+    ]
+    non_minimal = [
+        tuple(port for port in MESH_DIRECTIONS if mask >> port.value & 1)
+        for mask in range(16)
+    ]
+    return _split(minimal) + _split(non_minimal)
+
+
+(
+    _MINIMAL_ONLY,
+    _MINIMAL_SEVERAL,
+    _MISROUTE_ONLY,
+    _MISROUTE_SEVERAL,
+) = _candidate_tables()
 
 
 @dataclass
@@ -92,16 +155,6 @@ class ScoutResult:
     def scout_hops(self) -> int:
         """Total link traversals of the scout (forward + backtrack legs)."""
         return self.forward_moves + self.backtracks
-
-
-@dataclass
-class _WalkFrame:
-    """One forward move on the backtracking stack."""
-
-    node: Coord
-    entry_port: Optional[Direction]  # scout's input port when it was at node
-    exit_port: Direction
-    edge: FrozenSet[Coord]
 
 
 class VeniceNetwork:
@@ -162,34 +215,89 @@ class VeniceNetwork:
         self._dead_links: Set[FrozenSet[Coord]] = set()
         self._dead_routers: Set[Coord] = set()
         self._degraded = None  # lazy DegradedVenice (see degraded_mode())
-        # Hot-path lookup tables: per-node neighbour coordinate and
-        # canonical edge key, indexed by Direction.value (RIGHT/UP/DOWN/
-        # LEFT), so the scout walk never allocates a frozenset or re-derives
-        # a coordinate.  Router reservation tables are aliased flat for the
-        # same reason.
-        self._neighbors: Dict[Coord, tuple] = {}
-        self._edges: Dict[Coord, tuple] = {}
-        for node in self.routers:
-            nearby = []
-            edges = []
-            for direction in MESH_DIRECTIONS:
-                other = self.topology.neighbor(node, direction)
-                nearby.append(other)
-                edges.append(None if other is None else edge_key(node, other))
-            self._neighbors[node] = tuple(nearby)
-            self._edges[node] = tuple(edges)
-        self._tables = {node: router.table for node, router in self.routers.items()}
-        self._table_capacity = fc_count  # every router table has fc_count rows
         self._injection_rows = tuple(
             tuple((fc % rows, col) for col in self.injection_cols)
             for fc in range(fc_count)
         )
+        self._table_capacity = fc_count  # every router table has fc_count rows
+        self._build_walk_tables()
         # accounting
         self.reservations = 0
         self.failed_reservations = 0
         self.non_minimal_circuits = 0
         self.total_scout_hops = 0
         self._next_circuit_id = 0
+
+    def _build_walk_tables(self) -> None:
+        """Int-id views of the mesh for the scout walk and the port masks.
+
+        Routers have int ids (``row * cols + col``); per-port tables are
+        flat, indexed by ``router << 2 | port``.
+        """
+        rows, cols = self.topology.rows, self.topology.cols
+        count = rows * cols
+        self._coords: List[Coord] = [(node // cols, node % cols) for node in range(count)]
+        self._router_list = [self.routers[coord] for coord in self._coords]
+        self._entries = [router.table._entries for router in self._router_list]
+        self._neighbor_ids: List[int] = []
+        self._edge_keys: List[Optional[FrozenSet[Coord]]] = []
+        # Both (router, port) ends of every mesh link, and every
+        # (neighbour, port) that leads into each router.
+        self._link_ports: Dict[FrozenSet[Coord], Tuple[Tuple[int, int], ...]] = {}
+        self._ports_into: List[List[Tuple[int, int]]] = [[] for _ in range(count)]
+        for node, coord in enumerate(self._coords):
+            for port, direction in enumerate(MESH_DIRECTIONS):
+                other = self.topology.neighbor(coord, direction)
+                if other is None:
+                    self._neighbor_ids.append(-1)
+                    self._edge_keys.append(None)
+                    continue
+                other_id = other[0] * cols + other[1]
+                edge = edge_key(coord, other)
+                self._neighbor_ids.append(other_id)
+                self._edge_keys.append(edge)
+                self._link_ports[edge] = self._link_ports.get(edge, ()) + ((node, port),)
+                self._ports_into[other_id].append((node, port))
+        # The walk's held routers form a bitset (bit ``router``); per router
+        # and input port, the bits of its neighbours other than the one
+        # behind that port.
+        self._other_neighbors: List[int] = [0] * (count << 3)
+        for node in range(count):
+            around = self._neighbor_ids[node << 2 : (node << 2) + 4]
+            every = sum(1 << other for other in around if other >= 0)
+            for port, other in enumerate(around):
+                behind = 1 << other if other >= 0 else 0
+                self._other_neighbors[node << 3 | port] = every & ~behind
+            self._other_neighbors[node << 3 | _FROM_FC] = every
+        # Per destination, each router's minimal-candidate row offset: the
+        # X sign class comes from the columns, the Y class from the rows.
+        x_offsets = [
+            [(3 * (_sign(col - node % cols) + 1)) << 4 for node in range(count)]
+            for col in range(cols)
+        ]
+        y_offsets = [
+            [(_sign(row - node // cols) + 1) << 4 for node in range(count)]
+            for row in range(rows)
+        ]
+        self._sign_offsets: List[List[int]] = [
+            [x + y for x, y in zip(x_offsets[col], y_offsets[row])]
+            for row, col in self._coords
+        ]
+        # Per (controller, destination), the drop points nearest first (ties
+        # in drop order): best_injection takes the first free one.  A
+        # controller's drops share one row, so the order depends only on the
+        # destination's column.
+        self._drop_orders: List[List[Tuple[Coord, ...]]] = []
+        for drops in self._injection_rows:
+            by_column = [
+                tuple(sorted(drops, key=lambda point: abs(point[1] - col)))
+                for col in range(cols)
+            ]
+            self._drop_orders.append([by_column[col] for _, col in self._coords])
+        # Open-port masks: bit ``port`` of ``_open[node]`` is set iff
+        # _port_open(node, port) holds.
+        self._open: List[int] = [0] * count
+        self._refresh_ports((node, port) for node in range(count) for port in range(4))
 
     # ------------------------------------------------------------------ #
     # link state queries
@@ -238,9 +346,11 @@ class VeniceNetwork:
         have cut into a different alive component than the destination (a
         guaranteed dead end for the walk, however near its coordinates) --
         are unusable; ``None`` means this controller has no usable drop for
-        this destination.
+        this destination.  Distance ties go to the earlier drop point.
         """
-        points = self._injection_rows[fc_index]
+        points = self._drop_orders[fc_index][
+            destination[0] * self.topology.cols + destination[1]
+        ]
         if self._dead_routers or self._dead_links:
             degraded = self.degraded_mode()
             points = tuple(
@@ -250,27 +360,54 @@ class VeniceNetwork:
             )
             if not points:
                 return None
-        dest_row, dest_col = destination
         occupied = self.injection_owner
-        best = None
-        best_distance = 1 << 30
         for point in points:
             if point not in occupied:
-                distance = abs(point[0] - dest_row) + abs(point[1] - dest_col)
-                if distance < best_distance:
-                    best_distance = distance
-                    best = point
-        if best is not None:
-            return best
-        for point in points:
-            distance = abs(point[0] - dest_row) + abs(point[1] - dest_col)
-            if distance < best_distance:
-                best_distance = distance
-                best = point
-        return best
+                return point
+        return points[0]
 
     def links_in_use(self) -> int:
         return len(self.link_owner)
+
+    # ------------------------------------------------------------------ #
+    # open-port masks
+    # ------------------------------------------------------------------ #
+
+    def _port_open(self, node: int, port: int) -> bool:
+        """Ground truth for one mask bit: can a scout at ``node`` use ``port``?
+
+        True iff the port leads to an in-mesh *alive* neighbour whose
+        reservation table has a free row, over a link that is neither owned
+        by a circuit nor failed.  A scout additionally skips ports it has
+        already reserved at this router and routers holding its own row;
+        the walk applies those two rules from its local state.
+        """
+        slot = node << 2 | port
+        neighbor = self._neighbor_ids[slot]
+        if neighbor < 0 or self._coords[neighbor] in self._dead_routers:
+            return False
+        if len(self._entries[neighbor]) >= self._table_capacity:
+            return False
+        edge = self._edge_keys[slot]
+        return edge not in self.link_owner and edge not in self._dead_links
+
+    def _refresh_ports(self, ports: Iterable[Tuple[int, int]]) -> None:
+        """Recompute the mask bits of ``(router, port)`` pairs from ground truth."""
+        open_ports = self._open
+        port_open = self._port_open
+        for node, port in ports:
+            if port_open(node, port):
+                open_ports[node] |= 1 << port
+            else:
+                open_ports[node] &= ~(1 << port)
+
+    def _refresh_link(self, edge: FrozenSet[Coord]) -> None:
+        """Recompute both ends of a link that failed or recovered."""
+        self._refresh_ports(self._link_ports[edge])
+
+    def _refresh_router(self, coord: Coord) -> None:
+        """Recompute the ports into a router that failed or recovered."""
+        self._refresh_ports(self._ports_into[coord[0] * self.topology.cols + coord[1]])
 
     # ------------------------------------------------------------------ #
     # scout traversal (Algorithm 1 + backtracking + livelock caps)
@@ -285,6 +422,15 @@ class VeniceNetwork:
         at once -- see DESIGN.md on why the published throughput requires
         multi-circuit controllers and how the router reservation table's row
         capacity becomes the per-router constraint.
+
+        The walk is the only implementation of Algorithm 1 over live state;
+        :func:`repro.venice.routing.route_step` is its pure reference.  Each
+        step intersects the router's open-port mask with the scout's own
+        state and reads the ordered candidate list from a precomputed table:
+        candidate order and the LFSR tie-break cadence (advance only when
+        choosing among 2+ candidates) match ``route_step`` exactly.  Dead
+        links/routers (fault injection, DESIGN.md §7) are folded into the
+        masks exactly like busy ones.
         """
         if packet.mode is not FlitMode.RESERVE:
             raise ReservationError("scout must be sent in reserve mode")
@@ -317,182 +463,118 @@ class VeniceNetwork:
             # cannot even record its first hop.
             self.failed_reservations += 1
             return ScoutResult(None, 0, 0)
-        stack: List[_WalkFrame] = []
-        used_ports: Dict[Coord, Set[Direction]] = {}
-        visits: Dict[Coord, int] = {source: 1}
-        current = source
-        input_port: Optional[Direction] = None  # arrived from the FC injection port
+        cols = self.topology.cols
+        current = source[0] * cols + source[1]
+        target = destination[0] * cols + destination[1]
+
+        # The scout's state, private until commit: the routers holding its
+        # row (a bitset), its view of the open-port masks (a port it
+        # reserved at a router stays unusable there for the rest of the
+        # walk), the visit counts, and one (router, input port, output port)
+        # frame per forward move.
+        held = 0
+        avail = self._open[:]
+        visits = [0] * len(avail)
+        visits[current] = 1
+        stack: List[Tuple[int, int, int]] = []
+        neighbors = self._neighbor_ids
+        other_neighbors = self._other_neighbors
+        routers = self._router_list
+        offsets = self._sign_offsets[target]
+        not_input = _NOT_INPUT
+        minimal_only = _MINIMAL_ONLY
+        minimal_several = _MINIMAL_SEVERAL
+        misroute_only = _MISROUTE_ONLY
+        misroute_several = _MISROUTE_SEVERAL
+        max_steps = self.max_scout_steps
+        max_misroutes = self.max_misroutes
+        max_visits = MAX_ROUTER_VISITS
+        input_port = _FROM_FC
         forward_moves = 0
         backtracks = 0
         misroutes = 0
 
         while True:
-            if forward_moves + backtracks > self.max_scout_steps:
-                # Walk-length guard: unwind everything and report failure.
-                while stack:
-                    frame = stack.pop()
-                    del self.link_owner[frame.edge]
-                    self.routers[frame.node].cancel(circuit_id)
-                self.failed_reservations += 1
-                self.total_scout_hops += forward_moves + backtracks
-                self._assert_clean(circuit_id, visits)
-                return ScoutResult(None, forward_moves, backtracks, failure_reason="path")
+            if forward_moves + backtracks > max_steps:
+                # Walk-length guard: give up (nothing was written).
+                return self._fail_walk(circuit_id, visits, forward_moves, backtracks)
 
-            # _step_at returns (output_port, minimal): EJECT means eject,
-            # None means backtrack, a mesh port means forward.
-            output, minimal = self._step_at(
-                circuit_id, current, destination, input_port, used_ports, visits
-            )
-            if output is not None and output is not Direction.EJECT:
-                if not minimal and misroutes >= self.max_misroutes:
-                    # Misroute budget exhausted: treat as no usable output.
-                    output = None
-
-            if output is Direction.EJECT:
-                # Record the destination router's table entry, then commit.
-                entry = input_port if input_port is not None else Direction.EJECT
-                if entry is not Direction.EJECT:
-                    self.routers[current].reserve(circuit_id, entry, Direction.EJECT)
-                circuit = self._commit(packet, circuit_id, destination, source, stack)
-                self.reservations += 1
-                self.total_scout_hops += forward_moves + backtracks
-                if not circuit.is_minimal:
-                    self.non_minimal_circuits += 1
-                return ScoutResult(circuit, forward_moves, backtracks)
+            output = None
+            # Livelock cap (§4.3): after too many revisits the scout traces
+            # back to the upstream router.
+            if visits[current] <= max_visits:
+                if current == target:
+                    # Case 9: arrived.  The chip's ejection port was free
+                    # when this atomic walk began, so the scout ejects.
+                    return self._commit(
+                        packet, circuit_id, destination, source, target,
+                        input_port, stack, forward_moves, backtracks,
+                    )
+                # A router already holding this scout's row has no row for
+                # a second visit.  The upstream router always holds one;
+                # others only where the path loops back next to this router.
+                mask = avail[current] & not_input[input_port]
+                if held & other_neighbors[current << 3 | input_port]:
+                    slot = current << 2
+                    if mask & 1 and held >> neighbors[slot] & 1:
+                        mask ^= 1
+                    if mask & 2 and held >> neighbors[slot | 1] & 1:
+                        mask ^= 2
+                    if mask & 4 and held >> neighbors[slot | 2] & 1:
+                        mask ^= 4
+                    if mask & 8 and held >> neighbors[slot | 3] & 1:
+                        mask ^= 8
+                # Lines 5-32: free minimal-direction ports, LFSR among two.
+                index = offsets[current] | mask
+                output = minimal_only[index]
+                if output is None:
+                    candidates = minimal_several[index]
+                    if candidates:
+                        output = routers[current].pick_output(candidates)
+                    else:
+                        # Lines 33-45: misroute through any free port that
+                        # is not the input link.  The LFSR advances even
+                        # when the misroute budget then turns the move into
+                        # a backtrack.
+                        output = misroute_only[mask]
+                        if output is None and misroute_several[mask]:
+                            output = routers[current].pick_output(
+                                misroute_several[mask]
+                            )
+                        if output is not None:
+                            if misroutes < max_misroutes:
+                                misroutes += 1
+                            else:
+                                output = None
 
             if output is not None:
-                port_value = output._value_
-                next_node = self._neighbors[current][port_value]
-                assert next_node is not None, "usable() admitted an edge port"
-                edge = self._edges[current][port_value]
-                self.link_owner[edge] = circuit_id
-                used = used_ports.get(current)
-                if used is None:
-                    used_ports[current] = {output}
-                else:
-                    used.add(output)
-                entry = input_port if input_port is not None else Direction.EJECT
-                self.routers[current].reserve(circuit_id, entry, output)
-                stack.append(_WalkFrame(current, input_port, output, edge))
-                visits[next_node] = visits.get(next_node, 0) + 1
-                input_port = output.opposite
-                current = next_node
+                port = output._value_  # plain attr: skips the enum descriptor
+                avail[current] &= ~(1 << port)
+                held |= 1 << current
+                stack.append((current, input_port, port))
+                current = neighbors[current << 2 | port]
+                visits[current] += 1
+                input_port = 3 - port
                 forward_moves += 1
-                if not minimal:
-                    misroutes += 1
                 continue
 
             # BACKTRACK: the scout flips to cancel mode, retreats one hop,
             # and the upstream router clears its reservation entry (§4.2).
             if not stack:
-                self.failed_reservations += 1
-                self.total_scout_hops += forward_moves + backtracks
-                self._assert_clean(circuit_id, visits)
-                return ScoutResult(None, forward_moves, backtracks, failure_reason="path")
-            frame = stack.pop()
-            del self.link_owner[frame.edge]
-            self.routers[frame.node].cancel(circuit_id)
-            current = frame.node
-            input_port = frame.entry_port
+                return self._fail_walk(circuit_id, visits, forward_moves, backtracks)
+            current, input_port, _ = stack.pop()
+            held ^= 1 << current
             backtracks += 1
 
     # ------------------------------------------------------------------ #
 
-    def _step_at(
-        self,
-        circuit_id: int,
-        current: Coord,
-        destination: Coord,
-        input_port: Optional[Direction],
-        used_ports: Dict[Coord, Set[Direction]],
-        visits: Dict[Coord, int],
-    ) -> Tuple[Optional[Direction], bool]:
-        """One Algorithm 1 invocation, inlined for the scout hot path.
-
-        Returns ``(output, minimal)``: ``Direction.EJECT`` to eject, a mesh
-        port to move forward (``minimal`` says whether it lies on a minimal
-        path), or ``None`` to backtrack.  This is an exact inline of
-        :func:`repro.venice.routing.route_step` (the pure, property-tested
-        reference) over the usable() predicate: a port is usable iff it has
-        an in-mesh *alive* neighbour whose reservation table has a free row
-        and no entry for this circuit, its link is unowned *and not failed*,
-        and this scout has not already reserved it at this router; candidate
-        order and LFSR tie-break cadence (advance only on 2+ candidates)
-        match exactly.  Dead links/routers (fault injection, DESIGN.md §7)
-        are folded in exactly like busy ones, so degraded-mode routing is
-        the same Algorithm 1 the property tests cover.
-        """
-        if visits.get(current, 0) > MAX_ROUTER_VISITS:
-            # Livelock cap (§4.3): after too many revisits the scout traces
-            # back to the upstream router.
-            return None, False
-
-        consumed = used_ports.get(current)
-        neighbors = self._neighbors[current]
-        edges = self._edges[current]
-        tables = self._tables
-        link_owner = self.link_owner
-        capacity = self._table_capacity
-        dead_links = self._dead_links
-        dead_routers = self._dead_routers
-
-        diff_x = destination[1] - current[1]
-        diff_y = destination[0] - current[0]
-        if diff_x == 0 and diff_y == 0:
-            # Case 9: arrived; eject if the chip's I/O pins are free.
-            if destination not in self.ejection_owner:
-                return Direction.EJECT, True
-            candidates: List[Direction] = []
-        else:
-            # Lines 5-26: each free minimal-direction port joins the list.
-            minimal = _MINIMAL_BY_SIGN[
-                ((diff_x > 0) - (diff_x < 0), (diff_y > 0) - (diff_y < 0))
-            ]
-            candidates = []
-            for port in minimal:
-                if consumed is not None and port in consumed:
-                    continue
-                value = port._value_  # plain attr: skips the enum descriptor
-                neighbor = neighbors[value]
-                if neighbor is None or neighbor in dead_routers:
-                    continue
-                entries = tables[neighbor]._entries
-                if circuit_id in entries or len(entries) >= capacity:
-                    continue
-                edge = edges[value]
-                if edge not in link_owner and edge not in dead_links:
-                    candidates.append(port)
-            if candidates:
-                # Lines 27-32: one or two candidates; LFSR picks among two.
-                if len(candidates) == 1:
-                    return candidates[0], True
-                return self.routers[current].pick_output(candidates), True
-
-        # Lines 33-45: misroute through any free port that is neither the
-        # ejection port nor the input link.
-        non_minimal: List[Direction] = []
-        for port in MESH_DIRECTIONS:
-            if port is input_port:
-                continue
-            if consumed is not None and port in consumed:
-                continue
-            value = port._value_
-            neighbor = neighbors[value]
-            if neighbor is None or neighbor in dead_routers:
-                continue
-            entries = tables[neighbor]._entries
-            if circuit_id in entries or len(entries) >= capacity:
-                continue
-            edge = edges[value]
-            if edge not in link_owner and edge not in dead_links:
-                non_minimal.append(port)
-        if non_minimal:
-            if len(non_minimal) == 1:
-                return non_minimal[0], False
-            return self.routers[current].pick_output(non_minimal), False
-
-        # Lines 46-47: the only way out is back where we came from.
-        return None, False
+    def _fail_walk(
+        self, circuit_id: int, visits: List[int], forward_moves: int, backtracks: int
+    ) -> ScoutResult:
+        self.failed_reservations += 1
+        self.total_scout_hops += forward_moves + backtracks
+        self._assert_clean(circuit_id, visits)
+        return ScoutResult(None, forward_moves, backtracks, failure_reason="path")
 
     def _commit(
         self,
@@ -500,42 +582,76 @@ class VeniceNetwork:
         circuit_id: int,
         destination: Coord,
         source: Coord,
-        stack: List[_WalkFrame],
-    ) -> ReservedCircuit:
+        target: int,
+        input_port: int,
+        stack: List[Tuple[int, int, int]],
+        forward_moves: int,
+        backtracks: int,
+    ) -> ScoutResult:
+        """Write the walk's reservations: table rows, links, masks, owners."""
+        routers = self._router_list
+        neighbors = self._neighbor_ids
+        edge_keys = self._edge_keys
+        coords = self._coords
+        link_owner = self.link_owner
+        open_ports = self._open
+        nodes: List[Coord] = [source]
+        edges: List[FrozenSet[Coord]] = []
+        rows: List[int] = []
+        for node, entry, port in stack:
+            slot = node << 2 | port
+            edge = edge_keys[slot]
+            link_owner[edge] = circuit_id
+            edges.append(edge)
+            routers[node].reserve(circuit_id, _ENTRY_PORT[entry], MESH_DIRECTIONS[port])
+            rows.append(node)
+            neighbor = neighbors[slot]
+            nodes.append(coords[neighbor])
+            open_ports[node] &= ~(1 << port)
+            open_ports[neighbor] &= ~(1 << (3 - port))
+        if input_port != _FROM_FC:
+            # The destination router's row: entry port -> ejection port.
+            routers[target].reserve(
+                circuit_id, MESH_DIRECTIONS[input_port], Direction.EJECT
+            )
+            rows.append(target)
+        entries = self._entries
+        capacity = self._table_capacity
+        for node in rows:
+            if len(entries[node]) >= capacity:
+                for other, port in self._ports_into[node]:
+                    open_ports[other] &= ~(1 << port)
         self.ejection_owner[destination] = circuit_id
         self.injection_owner[source] = circuit_id
-        nodes: List[Coord] = [source]
-        for frame in stack:
-            next_node = self._neighbors[frame.node][frame.exit_port._value_]
-            assert next_node is not None
-            nodes.append(next_node)
         circuit = ReservedCircuit(
             circuit_id=circuit_id,
             packet_id=packet.packet_id,
             fc_index=packet.source_fc,
             destination=destination,
             nodes=nodes,
-            edges=[frame.edge for frame in stack],
+            edges=edges,
             minimal_hops=self.topology.manhattan(source, destination),
         )
         self.circuits[circuit_id] = circuit
-        return circuit
+        self.reservations += 1
+        self.total_scout_hops += forward_moves + backtracks
+        if not circuit.is_minimal:
+            self.non_minimal_circuits += 1
+        return ScoutResult(circuit, forward_moves, backtracks)
 
-    def _assert_clean(self, circuit_id: int, visited: Iterable[Coord] = ()) -> None:
-        """A fully backtracked scout must leave no reservations behind.
+    def _assert_clean(self, circuit_id: int, visits: List[int]) -> None:
+        """A failed scout must leave no reservations behind.
 
-        Only the routers the scout actually visited can hold its table rows,
-        so the check walks ``visited`` (the walk's visit set) instead of the
-        whole mesh; live links are scanned in full (the dict is small).
+        Only the routers the scout visited (nonzero ``visits``) could hold
+        its table rows, so only those tables are checked; live links are
+        checked in full (the dict is small).
         """
-        for owner in self.link_owner.values():
-            if owner == circuit_id:
-                raise ReservationError(
-                    f"failed scout circuit {circuit_id} left a link reserved"
-                )
-        tables = self._tables
-        for node in visited:
-            if circuit_id in tables[node]._entries:
+        if circuit_id in self.link_owner.values():
+            raise ReservationError(
+                f"failed scout circuit {circuit_id} left a link reserved"
+            )
+        for rows in compress(self._entries, visits):
+            if circuit_id in rows:
                 raise ReservationError(
                     f"failed scout circuit {circuit_id} left a router table entry"
                 )
@@ -570,10 +686,21 @@ class VeniceNetwork:
                     f"injection at {circuit.nodes[0]} owned by {owner}, "
                     f"not {circuit.circuit_id}"
                 )
+        cols = self.topology.cols
+        capacity = self._table_capacity
+        entries = self._entries
+        stale: List[Tuple[int, int]] = []  # mask bits the release may reopen
         for node in circuit.nodes:
-            router = self.routers.get(node)
-            if router is not None and router.has_reservation(circuit.circuit_id):
-                router.cancel(circuit.circuit_id)
+            router = node[0] * cols + node[1]
+            rows = entries[router]
+            if circuit.circuit_id in rows:
+                if len(rows) >= capacity:
+                    # A row comes free: ports into this router may reopen.
+                    stale.extend(self._ports_into[router])
+                self._router_list[router].cancel(circuit.circuit_id)
+        for edge in circuit.edges:
+            stale.extend(self._link_ports[edge])
+        self._refresh_ports(stale)
 
     # ------------------------------------------------------------------ #
     # invariants (exercised by the property tests)
@@ -586,7 +713,9 @@ class VeniceNetwork:
         * circuits are pairwise link-disjoint (conflict-freedom),
         * every circuit is a connected path from its FC attach point to its
           destination,
-        * no orphan link or ejection reservations exist.
+        * no orphan link or ejection reservations exist,
+        * every router's incremental open-port mask equals the mask
+          recomputed from ground truth.
         """
         seen: Dict[FrozenSet[Coord], int] = {}
         for circuit_id, circuit in self.circuits.items():
@@ -629,3 +758,10 @@ class VeniceNetwork:
         for node, owner in self.injection_owner.items():
             if owner not in self.circuits:
                 raise ReservationError(f"orphan injection at {node} owned by {owner}")
+        for node, coord in enumerate(self._coords):
+            truth = sum(1 << port for port in range(4) if self._port_open(node, port))
+            if self._open[node] != truth:
+                raise ReservationError(
+                    f"open-port mask of router {coord} is {self._open[node]:04b}, "
+                    f"ground truth {truth:04b}"
+                )

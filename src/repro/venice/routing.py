@@ -144,8 +144,8 @@ def route_step(
     return _BACKTRACK_STEP
 
 
-# Public alias for the network layer's inlined fast path (it folds this
-# table into the scout walk; route_step stays the testable reference).
+# Public alias for the network layer's scout walk (it builds its candidate
+# tables from this one; route_step stays the testable reference).
 MINIMAL_DIRECTIONS_BY_SIGN = _MINIMAL_BY_SIGN
 
 # RouteStep is frozen, so the two field-free outcomes are shared singletons

@@ -128,3 +128,43 @@ def test_fabric_stats_accumulate():
 def test_design_kind():
     _, fabric = make_fabric()
     assert fabric.design is DesignKind.VENICE
+
+
+@pytest.mark.parametrize("dead_link", [None, ((3, 3), (3, 4))])
+def test_retry_accounting_under_contention(dead_link):
+    """Every scout attempt is one try_reserve call, first or retry."""
+    import random
+
+    engine, fabric = make_fabric()
+    network = fabric.network
+    if dead_link is not None:
+        fabric.apply_link_fault(*dead_link, down=True)
+    calls = []
+    walk = network.try_reserve
+
+    def counted(packet, destination):
+        calls.append(destination)
+        return walk(packet, destination)
+
+    network.try_reserve = counted
+    rng = random.Random(7)
+    outcomes = []
+
+    def proc(chip, delay):
+        yield delay
+        outcomes.append((yield from fabric.transfer(chip, 4096)))
+
+    rows, cols = network.topology.rows, network.topology.cols
+    for _ in range(300):
+        chip = ChipAddress(rng.randrange(rows), rng.randrange(cols))
+        engine.process(proc(chip, rng.randrange(20_000)))
+    engine.run()
+
+    assert len(outcomes) == 300
+    attempts = sum(outcome.scout_attempts for outcome in outcomes)
+    assert attempts > len(outcomes), "the run must be contended"
+    assert attempts == network.reservations + network.failed_reservations == len(calls)
+    assert network.reservations == len(outcomes)
+    assert fabric.stats.scout_failures_total == network.failed_reservations
+    assert not network.circuits and not fabric._parked
+    network.assert_consistent()
