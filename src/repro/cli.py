@@ -776,14 +776,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _scale(requests: int, seed: int) -> ExperimentScale:
-    return ExperimentScale(
-        requests=requests,
-        requests_per_mix_constituent=max(50, requests // 3),
-        seed=seed,
-    )
-
-
 def _store(args: argparse.Namespace) -> Optional[ResultStore]:
     if not getattr(args, "cache", None):
         return None
@@ -868,7 +860,7 @@ def _emit_run_result(result, as_json: bool) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    scale = _scale(args.requests, args.seed)
+    scale = ExperimentScale.for_requests(args.requests, args.seed)
     # FTL knobs join the spec digest only when given on the command line;
     # a knob-free invocation produces byte-identical specs and results.
     device_kwargs = {}
@@ -894,7 +886,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    scale = _scale(args.requests, args.seed)
+    scale = ExperimentScale.for_requests(args.requests, args.seed)
     executor, store = _orchestration(args)
     results = run_suite(
         args.preset,
@@ -946,7 +938,7 @@ def _print_figure(name: str, result: dict) -> None:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    scale = _scale(args.requests, args.seed)
+    scale = ExperimentScale.for_requests(args.requests, args.seed)
     requested = args.workloads
     if args.trace is not None:
         if not args.trace:
@@ -979,7 +971,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
-    scale = _scale(args.requests, args.seed)
+    scale = ExperimentScale.for_requests(args.requests, args.seed)
     executor, store = _orchestration(args)
     results = figures.run_all_figures(
         scale,
@@ -1100,7 +1092,7 @@ def _cmd_trace_inspect(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace_replay(args: argparse.Namespace) -> int:
-    scale = _scale(args.requests, args.seed)
+    scale = ExperimentScale.for_requests(args.requests, args.seed)
     options = {}
     if args.time_scale is not None:
         options["time_scale"] = args.time_scale
@@ -1161,7 +1153,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_faults_sweep(args: argparse.Namespace) -> int:
     from repro.experiments.faults import DEFAULT_LINK_COUNTS, run_faults_sweep
 
-    scale = _scale(args.requests, args.seed)
+    scale = ExperimentScale.for_requests(args.requests, args.seed)
     link_counts = (
         args.link_counts if args.link_counts else list(DEFAULT_LINK_COUNTS)
     )
@@ -1361,7 +1353,7 @@ def _parse_member_faults(entries, count: int):
 def _cmd_fleet_run(args: argparse.Namespace) -> int:
     from repro.fleet import make_fleet_spec, run_fleet
 
-    scale = _scale(args.requests, args.seed)
+    scale = ExperimentScale.for_requests(args.requests, args.seed)
     designs = args.designs if args.designs else args.design
     count = len(args.designs) if args.designs else args.devices
     fleet = make_fleet_spec(
@@ -1478,7 +1470,7 @@ def _cmd_fleet_sweep(args: argparse.Namespace) -> int:
         run_fleet_sweep,
     )
 
-    scale = _scale(args.requests, args.seed)
+    scale = ExperimentScale.for_requests(args.requests, args.seed)
     executor, store = _orchestration(args)
     payload = run_fleet_sweep(
         args.design,

@@ -187,15 +187,18 @@ def bench_sweep_speedup(
 ) -> Dict[str, object]:
     """Simulated-event cost of the fig9a/10/13/14 sweep, exact vs optimized.
 
-    The *exact* arm replays the four-figure pipeline the way it runs
+    The *exact* arm counts the four-figure pipeline the way it would run
     without any caching: each figure deduplicates its own spec set, but
     figures re-simulate the cells they share (fig10 repeats fig9a's
-    matrix; fig14 repeats fig13's).  The *optimized* arm runs the union
-    of the same cells once -- cross-figure dedup via the result-store
-    identity, one checkpointed warm-up per design shared by every cell,
-    and steady-state early-stop on each measured phase.  Both arms count
-    every simulated event, warm-ups included, so the ratio is the honest
-    end-to-end cost reduction of the sweep pipeline.
+    matrix; fig14 repeats fig13's).  It simulates each unique cell once
+    and adds that cell's events once per figure use, so ``exact_cells``
+    counts figure uses while ``exact_seconds`` times only the unique
+    cells.  The *optimized* arm runs the union of the same cells once --
+    cross-figure dedup via the result-store identity, one checkpointed
+    warm-up per design shared by every cell, and steady-state early-stop
+    on each measured phase.  Both arms count every simulated event,
+    warm-ups included, so ``event_speedup`` is an accounting ratio of
+    simulated events, not a wall-clock one.
     """
     from repro.experiments.figures import _CONFLICT_DESIGNS, DEFAULT_WORKLOADS
     from repro.experiments.spec import ALL_DESIGNS, matrix_specs
@@ -218,8 +221,9 @@ def bench_sweep_speedup(
             if spec not in per_cell:
                 _, info = spec.execute_instrumented()
                 per_cell[spec] = int(info["events"])
-            # The exact pipeline re-simulates cells shared across figures;
-            # determinism lets us count the repeat without re-running it.
+            # An uncached pipeline would re-simulate cells shared across
+            # figures; determinism lets us count the repeat without
+            # re-running it.
             exact_events += per_cell[spec]
             exact_cells += 1
     exact_seconds = time.perf_counter() - start

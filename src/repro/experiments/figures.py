@@ -28,6 +28,7 @@ from repro.experiments.executor import execute_specs
 from repro.experiments.reporting import geometric_mean
 from repro.experiments.spec import (
     ALL_DESIGNS,
+    SPEC_CLAUSES,
     TRACE_WORKLOAD_PREFIX,
     ExperimentScale,
     RunSpec,
@@ -36,9 +37,6 @@ from repro.experiments.spec import (
 )
 from repro.metrics.collector import RunResult
 from repro.power.area import venice_area_report
-from repro.sim.checkpoint import WarmupPhase
-from repro.sim.convergence import EarlyStopPolicy
-from repro.sim.faults import FaultSchedule
 from repro.power.models import PowerModel
 from repro.workloads.catalog import workload_names
 from repro.workloads.formats import trace_stem
@@ -629,25 +627,29 @@ def validate_figure_workloads(
     return list(workloads)
 
 
-def _figure_overrides(
-    faults: Optional[str],
-    warmup: Optional[str],
-    early_stop: Optional[str],
-) -> Dict[str, str]:
-    """Canonicalised spec-field overrides a figure run applies to each cell.
+def _execute_plans(
+    plans: Mapping[str, Plan],
+    executor,
+    store,
+    clauses: Mapping[str, Optional[str]],
+) -> Dict[str, Dict[str, object]]:
+    """Execute the union of ``plans``' spec sets once and reduce each plan.
 
-    Each override twins every cell of the figure with the field set, so the
-    modified figure (degraded fabric, warmed-up devices, early-stopped
-    measured phases) lives under distinct digests beside the exact one.
+    Each non-empty spec clause in ``clauses`` twins every cell with that
+    field set, so the modified figure (degraded fabric, warmed-up devices,
+    early-stopped measured phases) lives under distinct digests beside the
+    exact one.  Reducers close over the plans' original spec objects, so
+    results are keyed back by the originals.
     """
-    overrides: Dict[str, str] = {}
-    if faults:
-        overrides["faults"] = FaultSchedule.parse(faults).to_spec()
-    if warmup:
-        overrides["warmup"] = WarmupPhase.parse(warmup).to_spec()
-    if early_stop:
-        overrides["early_stop"] = EarlyStopPolicy.parse(early_stop).to_spec()
-    return overrides
+    # Canonicalised up front so a bad clause fails even on an empty plan.
+    overrides = {
+        name: SPEC_CLAUSES[name](value) for name, value in clauses.items() if value
+    }
+    specs = [spec for plan_specs, _ in plans.values() for spec in plan_specs]
+    twins = {spec: replace(spec, **overrides) for spec in dict.fromkeys(specs)}
+    results = execute_specs(list(twins.values()), executor=executor, store=store)
+    shared = {original: results[twin] for original, twin in twins.items()}
+    return {name: reduce(shared) for name, (_, reduce) in plans.items()}
 
 
 def run_figure(
@@ -676,21 +678,9 @@ def run_figure(
         raise ConfigurationError(
             f"unknown figure {name!r}; expected one of {', '.join(FIGURES)}"
         )
-    specs, reduce = FIGURES[name].plan(scale, workloads)
-    overrides = _figure_overrides(faults, warmup, early_stop)
-    if overrides:
-        # Reducers close over the plan's original spec objects, so execute
-        # the overridden twins and key the results back by the originals.
-        twins = {
-            spec: replace(spec, **overrides) for spec in dict.fromkeys(specs)
-        }
-        results = execute_specs(
-            list(twins.values()), executor=executor, store=store
-        )
-        return reduce(
-            {original: results[twin] for original, twin in twins.items()}
-        )
-    return reduce(execute_specs(specs, executor=executor, store=store))
+    clauses = {"faults": faults, "warmup": warmup, "early_stop": early_stop}
+    plans = {name: FIGURES[name].plan(scale, workloads)}
+    return _execute_plans(plans, executor, store, clauses)[name]
 
 
 def run_all_figures(
@@ -716,7 +706,6 @@ def run_all_figures(
     """
     names = tuple(figures) if figures is not None else FIGURE_NAMES
     plans: Dict[str, Plan] = {}
-    all_specs: List[RunSpec] = []
     for name in names:
         if name not in FIGURES:
             raise ConfigurationError(
@@ -730,21 +719,6 @@ def run_all_figures(
         else:
             chosen = None
         validate_figure_workloads(name, chosen)
-        plan = definition.plan(scale, chosen)
-        plans[name] = plan
-        all_specs.extend(plan[0])
-    overrides = _figure_overrides(faults, warmup, early_stop)
-    if overrides:
-        twins = {
-            spec: replace(spec, **overrides)
-            for spec in dict.fromkeys(all_specs)
-        }
-        twin_results = execute_specs(
-            list(twins.values()), executor=executor, store=store
-        )
-        results = {
-            original: twin_results[twin] for original, twin in twins.items()
-        }
-    else:
-        results = execute_specs(all_specs, executor=executor, store=store)
-    return {name: plan[1](results) for name, plan in plans.items()}
+        plans[name] = definition.plan(scale, chosen)
+    clauses = {"faults": faults, "warmup": warmup, "early_stop": early_stop}
+    return _execute_plans(plans, executor, store, clauses)

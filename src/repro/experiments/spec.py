@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from pathlib import Path
 
@@ -96,6 +96,15 @@ class ExperimentScale:
     target_pressure: float = 1.6
     mix_target_pressure: float = 1.8
     max_acceleration: float = 256.0
+
+    @classmethod
+    def for_requests(cls, requests: int, seed: int) -> "ExperimentScale":
+        """The default scale at ``requests`` per trace (CLI and service)."""
+        return cls(
+            requests=requests,
+            requests_per_mix_constituent=max(50, requests // 3),
+            seed=seed,
+        )
 
     @classmethod
     def benchmark(cls) -> "ExperimentScale":
@@ -238,6 +247,41 @@ _CHECKPOINT_SCALE_FIELDS = (
 )
 
 
+def canonical_digest(payload: Mapping[str, object]) -> str:
+    """sha256 over the canonical (sorted-key, compact) JSON form."""
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _canonical_fleet(text: str) -> str:
+    # Imported lazily: repro.fleet imports this module.
+    from repro.fleet.member import FleetMember
+
+    return FleetMember.parse(text).to_spec()
+
+
+def _canonical_qos(text: str) -> str:
+    from repro.fleet.qos import canonical_qos
+
+    return canonical_qos(text)
+
+
+#: The spec clauses: grammar-string ``RunSpec`` fields, each mapped to the
+#: canonicaliser that validates it and fixes its clause order, units and
+#: whitespace.  Every clause joins the digest, and an empty clause is a
+#: strict no-op (not canonicalised, key omitted from the payload).  The
+#: table order is the ``to_dict`` key order, which store entries and queue
+#: tasks persist unsorted, so it is part of the byte-identity contract:
+#: append new clauses at the end.
+SPEC_CLAUSES: Dict[str, Callable[[str], str]] = {
+    "faults": lambda text: FaultSchedule.parse(text).to_spec(),
+    "fleet": _canonical_fleet,
+    "warmup": lambda text: WarmupPhase.parse(text).to_spec(),
+    "early_stop": lambda text: EarlyStopPolicy.parse(text).to_spec(),
+    "qos": _canonical_qos,
+}
+
+
 @dataclass(frozen=True)
 class RunSpec:
     """One fully-specified simulation run, by value.
@@ -255,38 +299,18 @@ class RunSpec:
     one store entry, and a file that changes under a recorded path is
     detected (:meth:`verify_trace`) instead of silently served stale.
 
-    ``faults`` carries a fault schedule in its canonical grammar form
-    (:meth:`repro.sim.faults.FaultSchedule.to_spec`); it participates in the
-    digest, so a faulted run and its pristine twin are distinct cache
-    entries.  The empty schedule is a strict no-op: it is omitted from the
-    canonical payload entirely, so pre-fault spec digests (and their store
-    entries) are unchanged.
-
-    ``fleet`` marks this spec as one member device of a multi-SSD fleet:
-    it carries the canonical member descriptor
-    (:meth:`repro.fleet.member.FleetMember.to_spec` -- index/shape,
-    tenant count, placement policy, optional burst clause), which selects
-    the device's dispatcher share of the fleet's tenant traffic instead
-    of the plain workload trace.  Like ``faults``, it participates in the
-    digest and the empty descriptor is a strict no-op (key omitted,
-    pre-fleet digests unchanged).
-
-    ``qos`` names the dispatcher QoS policy
-    (:func:`repro.fleet.qos.canonical_qos` grammar) applied to the merged
-    tenant stream before placement; it requires ``fleet`` (QoS schedules
-    tenants, and only fleet members have them).  Same contract again:
-    canonicalised, digest-joining, and the empty policy is a strict no-op
-    (key omitted, pre-QoS digests and results unchanged).
-
-    ``warmup`` declares a warm-up phase in its canonical grammar form
-    (:meth:`repro.sim.checkpoint.WarmupPhase.to_spec`): the measured phase
-    then starts from a checkpointed device state instead of a pristine one.
-    ``early_stop`` declares a steady-state convergence policy
-    (:meth:`repro.sim.convergence.EarlyStopPolicy.to_spec`) that may halt
-    the measured phase early and extrapolate to the full horizon.  Both
-    participate in the digest and both are strict no-ops when empty (keys
-    omitted; exact-mode digests, store entries, and results are
-    bit-identical to a library without either feature).
+    The :data:`SPEC_CLAUSES` fields carry grammar strings, canonicalised
+    on construction; each joins the digest and is a strict no-op when
+    empty.  ``faults`` is a fault schedule
+    (:class:`~repro.sim.faults.FaultSchedule`); ``fleet`` a fleet member
+    descriptor (:class:`~repro.fleet.member.FleetMember`) that replaces
+    the plain workload trace with the member's dispatcher share of the
+    fleet's tenant traffic; ``warmup`` a checkpointed warm-up phase
+    (:class:`~repro.sim.checkpoint.WarmupPhase`); ``early_stop`` a
+    steady-state convergence policy
+    (:class:`~repro.sim.convergence.EarlyStopPolicy`); and ``qos`` the
+    dispatcher QoS policy (:func:`repro.fleet.qos.canonical_qos`), which
+    requires ``fleet``.
     """
 
     design: str
@@ -336,40 +360,10 @@ class RunSpec:
             raise ConfigurationError(
                 "a spec cannot be both a Table 3 mix and a trace replay"
             )
-        if self.faults:
-            # Canonicalise (and validate) the schedule so equal schedules --
-            # regardless of clause order, units, or whitespace -- digest and
-            # cache identically.
-            object.__setattr__(
-                self, "faults", FaultSchedule.parse(self.faults).to_spec()
-            )
-        if self.fleet:
-            # Same canonicalisation contract as faults.  Imported lazily:
-            # repro.fleet.spec imports this module, so a module-level
-            # import here would be circular.
-            from repro.fleet.member import FleetMember
-
-            object.__setattr__(
-                self, "fleet", FleetMember.parse(self.fleet).to_spec()
-            )
-        if self.warmup:
-            # Same canonicalisation contract as faults: clause order,
-            # number formatting, and whitespace never split the digest.
-            object.__setattr__(
-                self, "warmup", WarmupPhase.parse(self.warmup).to_spec()
-            )
-        if self.early_stop:
-            object.__setattr__(
-                self,
-                "early_stop",
-                EarlyStopPolicy.parse(self.early_stop).to_spec(),
-            )
-        if self.qos:
-            # Same canonicalisation contract (and the same lazy import
-            # as ``fleet``: repro.fleet imports this module).
-            from repro.fleet.qos import canonical_qos
-
-            object.__setattr__(self, "qos", canonical_qos(self.qos))
+        for name, canonicalise in SPEC_CLAUSES.items():
+            value = getattr(self, name)
+            if value:
+                object.__setattr__(self, name, canonicalise(value))
         if self.qos and not self.fleet:
             raise ConfigurationError(
                 "qos schedules a fleet's tenant streams; it requires a "
@@ -381,11 +375,9 @@ class RunSpec:
     def to_dict(self) -> Dict[str, object]:
         """Plain-data form; ``from_dict`` inverts it losslessly.
 
-        The ``faults`` and ``fleet`` keys appear only for faulted / fleet
-        -member specs: omitting the empty values keeps the canonical
-        payload -- and therefore every pre-existing spec digest and store
-        entry -- bit-identical to a version of the library without fault
-        injection or fleet support.
+        Spec clauses appear only when set: omitting the empty ones keeps
+        every pre-existing spec digest and store entry bit-identical to a
+        version of the library without those clauses.
         """
         payload: Dict[str, object] = {
             "design": self.design,
@@ -400,16 +392,9 @@ class RunSpec:
             "trace_digest": self.trace_digest,
             "trace_options": {key: value for key, value in self.trace_options},
         }
-        if self.faults:
-            payload["faults"] = self.faults
-        if self.fleet:
-            payload["fleet"] = self.fleet
-        if self.warmup:
-            payload["warmup"] = self.warmup
-        if self.early_stop:
-            payload["early_stop"] = self.early_stop
-        if self.qos:
-            payload["qos"] = self.qos
+        for name in SPEC_CLAUSES:
+            if getattr(self, name):
+                payload[name] = getattr(self, name)
         return payload
 
     @classmethod
@@ -440,11 +425,7 @@ class RunSpec:
                     for k, v in dict(payload.get("trace_options") or {}).items()
                 )
             ),
-            faults=str(payload.get("faults") or ""),
-            fleet=str(payload.get("fleet") or ""),
-            warmup=str(payload.get("warmup") or ""),
-            early_stop=str(payload.get("early_stop") or ""),
-            qos=str(payload.get("qos") or ""),
+            **{name: str(payload.get(name) or "") for name in SPEC_CLAUSES},
         )
 
     @property
@@ -458,8 +439,7 @@ class RunSpec:
         """
         payload = self.to_dict()
         del payload["trace_path"]
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return canonical_digest(payload)
 
     @property
     def checkpoint_digest(self) -> str:
@@ -489,8 +469,7 @@ class RunSpec:
             "warmup": self.warmup,
             "scale": {key: scale[key] for key in _CHECKPOINT_SCALE_FIELDS},
         }
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return canonical_digest(payload)
 
     @property
     def design_kind(self) -> DesignKind:
@@ -729,25 +708,14 @@ def make_spec(
     ``lba_policy``) to :class:`~repro.workloads.replay.TraceWorkload`; they
     participate in the digest.
 
-    ``faults`` accepts a :class:`~repro.sim.faults.FaultSchedule` or its
-    grammar string; it is canonicalised into the spec (and the digest).
-    ``None``/empty means a pristine fabric and leaves the digest untouched.
-
-    ``fleet`` accepts a fleet member descriptor string
-    (:class:`~repro.fleet.member.FleetMember` grammar); prefer
-    :func:`repro.fleet.spec.make_fleet_spec`, which builds consistent
-    descriptors for every member of a fleet.  ``None``/empty means an
-    ordinary single-device run and leaves the digest untouched.
-    ``qos`` accepts a dispatcher QoS policy string
-    (:func:`repro.fleet.qos.canonical_qos` grammar); it requires
-    ``fleet`` and is likewise a strict no-op when ``None``/empty.
-
-    ``warmup`` accepts a :class:`~repro.sim.checkpoint.WarmupPhase` or its
-    grammar string (``"fill 0.5; steps 400"``); ``early_stop`` accepts an
-    :class:`~repro.sim.convergence.EarlyStopPolicy` or its grammar string
-    (``"window 100; tolerance 0.01; patience 2; min 200"``).  Both are
-    canonicalised into the spec and the digest; ``None``/empty means the
-    exact legacy run and leaves the digest untouched.
+    Each spec clause (:data:`SPEC_CLAUSES`) accepts its grammar string;
+    ``faults``, ``warmup`` and ``early_stop`` also accept the clause object
+    (:class:`~repro.sim.faults.FaultSchedule`,
+    :class:`~repro.sim.checkpoint.WarmupPhase`,
+    :class:`~repro.sim.convergence.EarlyStopPolicy`).  ``None``/empty is a
+    strict no-op and leaves the digest untouched.  Prefer
+    :func:`repro.fleet.spec.make_fleet_spec` to passing ``fleet`` and
+    ``qos`` by hand: it builds consistent descriptors for every member.
     """
     if "exact_stats" not in device_kwargs and exact_stats_default():
         device_kwargs["exact_stats"] = True
@@ -780,12 +748,6 @@ def make_spec(
         if found is not None:
             trace_path = str(found)
             content_digest = trace_digest(found)
-    if isinstance(faults, FaultSchedule):
-        faults = faults.to_spec()
-    if isinstance(warmup, WarmupPhase):
-        warmup = warmup.to_spec()
-    if isinstance(early_stop, EarlyStopPolicy):
-        early_stop = early_stop.to_spec()
     return RunSpec(
         design=name,
         preset=preset,
@@ -798,12 +760,17 @@ def make_spec(
         trace_path=trace_path,
         trace_digest=content_digest,
         trace_options=tuple(sorted((trace_options or {}).items())),
-        faults=faults or "",
-        fleet=fleet or "",
-        warmup=warmup or "",
-        early_stop=early_stop or "",
-        qos=qos or "",
+        faults=_clause_text(faults),
+        fleet=_clause_text(fleet),
+        warmup=_clause_text(warmup),
+        early_stop=_clause_text(early_stop),
+        qos=_clause_text(qos),
     )
+
+
+def _clause_text(clause: object) -> str:
+    """A clause argument as grammar text (clause objects via ``to_spec``)."""
+    return clause.to_spec() if hasattr(clause, "to_spec") else clause or ""
 
 
 def matrix_specs(

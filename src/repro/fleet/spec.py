@@ -20,14 +20,18 @@ digests plus the placement policy and tenant count.  Consequences:
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.config.ssd_config import DesignKind
 from repro.errors import ConfigurationError
-from repro.experiments.spec import ExperimentScale, RunSpec, Scalar, make_spec
+from repro.experiments.spec import (
+    ExperimentScale,
+    RunSpec,
+    Scalar,
+    canonical_digest,
+    make_spec,
+)
 from repro.fleet.member import FleetMember, canonical_burst
 from repro.fleet.placement import canonical_placement
 from repro.fleet.qos import canonical_qos
@@ -128,8 +132,37 @@ class FleetSpec:
             payload["qos"] = self.qos
         if self.burst:
             payload["burst"] = self.burst
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return canonical_digest(payload)
+
+    def to_dict(self) -> Dict[str, object]:
+        """Plain-data form (members as spec dicts); ``from_dict`` inverts it.
+
+        ``qos`` and ``burst`` appear only when set, so records of QoS-free
+        fleets are byte-identical to those written before QoS existed.
+        """
+        payload: Dict[str, object] = {
+            "members": [member.to_dict() for member in self.members],
+            "placement": self.placement,
+            "tenants": self.tenants,
+            "sample": self.sample,
+        }
+        if self.qos:
+            payload["qos"] = self.qos
+        if self.burst:
+            payload["burst"] = self.burst
+        return payload
+
+    @classmethod
+    def from_dict(cls, payload: Mapping[str, object]) -> "FleetSpec":
+        """Rebuild a fleet from :meth:`to_dict` output (extra keys ignored)."""
+        return cls(
+            members=tuple(RunSpec.from_dict(member) for member in payload["members"]),
+            placement=str(payload["placement"]),
+            tenants=int(payload["tenants"]),
+            sample=int(payload["sample"]),
+            qos=str(payload.get("qos") or ""),
+            burst=str(payload.get("burst") or ""),
+        )
 
     def sampled_indices(self) -> Tuple[int, ...]:
         """Member indices the sampled mode simulates (all when exact)."""

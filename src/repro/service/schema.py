@@ -30,14 +30,12 @@ Three payload kinds are accepted (``"kind"`` defaults to ``"run"``):
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.experiments.runner import ExperimentScale, make_spec
-from repro.experiments.spec import RunSpec
+from repro.experiments.spec import RunSpec, canonical_digest
 from repro.fleet.spec import FleetSpec
 from repro.ssd.factory import design_names
 from repro.workloads.mixes import mix_names
@@ -129,28 +127,12 @@ def _list_field(
     return list(value)
 
 
-def _scale_for(payload: Mapping[str, object]) -> ExperimentScale:
-    """The same requests/seed -> scale mapping the CLI applies."""
-    requests = _int_field(payload, "requests", 600, 1)
-    seed = _int_field(payload, "seed", 42, 0)
-    return ExperimentScale(
-        requests=requests,
-        requests_per_mix_constituent=max(50, requests // 3),
-        seed=seed,
-    )
-
-
 def _amortization(payload: Mapping[str, object]) -> Dict[str, Optional[str]]:
     return {
         "faults": _str_field(payload, "faults", None),
         "warmup": _str_field(payload, "warmup", None),
         "early_stop": _str_field(payload, "early_stop", None),
     }
-
-
-def _digest_of(parts: Dict[str, object]) -> str:
-    canonical = json.dumps(parts, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def job_from_payload(payload: object) -> Job:
@@ -173,7 +155,10 @@ def job_from_payload(payload: object) -> Job:
         )
     _reject_unknown_keys(payload, kind)
     preset = _str_field(payload, "preset", "performance-optimized")
-    scale = _scale_for(payload)
+    scale = ExperimentScale.for_requests(
+        _int_field(payload, "requests", 600, 1),
+        _int_field(payload, "seed", 42, 0),
+    )
     knobs = _amortization(payload)
     if kind == "run":
         return _run_job(payload, preset, scale, knobs)
@@ -227,7 +212,7 @@ def _sweep_job(
         for workload in workloads
         for design in designs
     )
-    job_id = _digest_of(
+    job_id = canonical_digest(
         {"kind": "sweep", "specs": [spec.digest for spec in specs]}
     )
     return Job(
@@ -280,24 +265,12 @@ def _fleet_job(
         if knobs["faults"]
         else None,
     )
-    canonical: Dict[str, object] = {
-        "kind": "fleet",
-        "members": [member.to_dict() for member in fleet.members],
-        "placement": fleet.placement,
-        "tenants": fleet.tenants,
-        "sample": fleet.sample,
-    }
-    if fleet.qos:
-        # Keys omitted when unset so pre-QoS job records are unchanged.
-        canonical["qos"] = fleet.qos
-    if fleet.burst:
-        canonical["burst"] = fleet.burst
     return Job(
         job_id=fleet.digest,
         kind="fleet",
         label=fleet.label(),
         specs=fleet.members,
-        canonical=canonical,
+        canonical={"kind": "fleet", **fleet.to_dict()},
         fleet=fleet,
     )
 
@@ -312,17 +285,7 @@ def job_from_record(job_id: str, canonical: Mapping[str, object]) -> Job:
     """
     kind = str(canonical["kind"])
     if kind == "fleet":
-        fleet = FleetSpec(
-            members=tuple(
-                RunSpec.from_dict(member) for member in canonical["members"]
-            ),
-            placement=str(canonical["placement"]),
-            tenants=int(canonical["tenants"]),
-            sample=int(canonical["sample"]),
-            # .get: records persisted before QoS existed have no such keys.
-            qos=str(canonical.get("qos") or ""),
-            burst=str(canonical.get("burst") or ""),
-        )
+        fleet = FleetSpec.from_dict(canonical)
         return Job(
             job_id=job_id,
             kind=kind,
