@@ -47,9 +47,11 @@ Subcommands:
 * ``list``    -- enumerate workloads, mixes, designs, presets, formats,
   placements, store backends.
 
-``figure|matrix|faults sweep|fleet sweep --queue DIR`` run their spec
-batch through the work queue instead of an in-process executor: the sweep
-enqueues, participates, and waits, while any number of ``venice-sim
+Every command that takes ``--jobs`` -- ``compare``, ``figure``,
+``matrix``, ``faults sweep``, ``ftl sweep``, ``fleet run``, ``fleet
+sweep`` and ``qos sweep`` -- also takes ``--queue DIR``, which runs its
+spec batch through the work queue instead of an in-process executor: the
+sweep enqueues, participates, and waits, while any number of ``venice-sim
 worker --queue DIR`` processes -- on this or other hosts sharing the
 directory -- share the load.  A sweep whose workers are killed mid-run
 completes on re-run with zero lost and zero duplicated simulations.
@@ -66,11 +68,17 @@ the figure's cells and steady-state early-stop of each measured phase.
 figure's workload set (fig11 tail latencies and fig12 multi-tenant runs
 are the paper's trace-sensitive figures); catalog workload names resolve
 to real traces automatically when ``VENICE_TRACE_DIR`` points at an
-archive directory.
+archive directory.  A Table 3 mix name (``mix1`` …) is accepted wherever
+a workload is, and always synthesises the published mix.
 
 ``--jobs N`` runs the simulations of a figure/matrix in parallel worker
 processes; ``--cache DIR`` persists results content-addressed by run spec so
 repeat invocations simulate nothing that is already on disk.
+
+Each leaf subcommand is declared once in :func:`_build_parser` and names
+its handler there; a handler maps the parsed flags onto one library call
+and hands the payload to :func:`_emit`, which owns the ``--json``-or-table
+choice.
 """
 
 from __future__ import annotations
@@ -78,7 +86,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from typing import Callable, Dict, List, Optional, Union
 
 from repro.config.presets import PRESET_NAMES
 from repro.config.ssd_config import DesignKind
@@ -93,6 +101,34 @@ from repro.ssd.factory import design_names
 from repro.workloads import formats as trace_formats
 from repro.workloads.catalog import workload_names
 from repro.workloads.mixes import mix_names
+
+
+def _add_inputs(
+    parser: argparse.ArgumentParser,
+    names: str,
+    *,
+    requests: int = 600,
+    workload: Optional[str] = "hm_0",
+    help: Optional[Dict[str, str]] = None,
+) -> None:
+    """Add the shared ``--NAME`` inputs listed in ``names``, in order.
+
+    ``requests`` and ``workload`` are those flags' defaults
+    (``workload=None`` leaves the choice to the experiment module);
+    ``help`` maps an input name to its help text.
+    """
+    options = {
+        "design": {"default": "venice", "choices": design_names()},
+        "workload": {"default": workload},
+        "preset": {"default": "performance-optimized"},
+        "requests": {"type": int, "default": requests},
+        "seed": {"type": int, "default": 42},
+        "json": {"action": "store_true"},
+    }
+    for name in names.split():
+        parser.add_argument(
+            f"--{name}", help=(help or {}).get(name), **options[name]
+        )
 
 
 def _add_amortization_flags(parser: argparse.ArgumentParser) -> None:
@@ -112,7 +148,12 @@ def _add_amortization_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_orchestration_flags(parser: argparse.ArgumentParser) -> None:
+def _add_orchestration_flags(
+    parser: argparse.ArgumentParser, *, json: bool = True
+) -> None:
+    """``--json`` (unless ``json=False``) and the executor/store flags."""
+    if json:
+        _add_inputs(parser, "json")
     parser.add_argument(
         "--jobs",
         type=int,
@@ -166,6 +207,20 @@ def _add_orchestration_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _command(sub, name: str, handler: Callable, help: str):
+    """A leaf subcommand that dispatches to ``handler(args)``."""
+    parser = sub.add_parser(name, help=help)
+    parser.set_defaults(handler=handler)
+    return parser
+
+
+def _group(sub, name: str, help: str):
+    """A command group; its leaves are added to the returned subparsers."""
+    return sub.add_parser(name, help=help).add_subparsers(
+        dest=f"{name}_command", required=True
+    )
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="venice-sim",
@@ -173,13 +228,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run one workload on one design")
-    run.add_argument("--design", default="venice", choices=design_names())
-    run.add_argument("--workload", default="hm_0")
-    run.add_argument("--preset", default="performance-optimized")
-    run.add_argument("--requests", type=int, default=1200)
-    run.add_argument("--seed", type=int, default=42)
-    run.add_argument("--json", action="store_true", help="emit JSON")
+    run = _command(sub, "run", _cmd_run, "run one workload on one design")
+    _add_inputs(
+        run,
+        "design workload preset requests seed json",
+        requests=1200,
+        help={"json": "emit JSON"},
+    )
     run.add_argument(
         "--cache", default=None, metavar="DIR", help="result store directory"
     )
@@ -211,17 +266,15 @@ def _build_parser() -> argparse.ArgumentParser:
         help="free-page fraction at which GC stops (digest-joining knob)",
     )
 
-    compare = sub.add_parser("compare", help="one workload across all designs")
-    compare.add_argument("--workload", default="hm_0")
-    compare.add_argument("--preset", default="performance-optimized")
-    compare.add_argument("--requests", type=int, default=1200)
-    compare.add_argument("--seed", type=int, default=42)
-    _add_orchestration_flags(compare)
+    compare = _command(
+        sub, "compare", _cmd_compare, "one workload across all designs"
+    )
+    _add_inputs(compare, "workload preset requests seed", requests=1200)
+    _add_orchestration_flags(compare, json=False)
 
-    figure = sub.add_parser("figure", help="regenerate a paper figure")
+    figure = _command(sub, "figure", _cmd_figure, "regenerate a paper figure")
     figure.add_argument("name", choices=sorted(figures.FIGURES))
-    figure.add_argument("--requests", type=int, default=600)
-    figure.add_argument("--seed", type=int, default=42)
+    _add_inputs(figure, "requests seed")
     figure.add_argument(
         "--workloads",
         nargs="*",
@@ -244,14 +297,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "(grammar: docs/faults.md, e.g. '0 link (0,3)-(0,4) down')",
     )
     _add_amortization_flags(figure)
-    figure.add_argument("--json", action="store_true")
     _add_orchestration_flags(figure)
 
-    matrix = sub.add_parser(
-        "matrix", help="regenerate every figure in one shared pass"
+    matrix = _command(
+        sub, "matrix", _cmd_matrix, "regenerate every figure in one shared pass"
     )
-    matrix.add_argument("--requests", type=int, default=600)
-    matrix.add_argument("--seed", type=int, default=42)
+    _add_inputs(matrix, "requests seed")
     matrix.add_argument(
         "--figures",
         nargs="*",
@@ -270,11 +321,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "--mixes", nargs="*", default=None, help="override fig12's mix list"
     )
     _add_amortization_flags(matrix)
-    matrix.add_argument("--json", action="store_true")
     _add_orchestration_flags(matrix)
 
-    bench = sub.add_parser(
-        "bench", help="run the core perf micro-benchmarks (BENCH_core.json)"
+    bench = _command(
+        sub,
+        "bench",
+        _cmd_bench,
+        "run the core perf micro-benchmarks (BENCH_core.json)",
     )
     bench.add_argument(
         "--quick",
@@ -306,15 +359,16 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="FRACTION",
         help="allowed fractional regression vs the baseline (default 0.20)",
     )
-    bench.add_argument("--json", action="store_true", help="print the payload")
+    _add_inputs(bench, "json", help={"json": "print the payload"})
 
-    trace = sub.add_parser(
-        "trace", help="inspect, replay, or convert real trace files"
+    trace_sub = _group(
+        sub, "trace", "inspect, replay, or convert real trace files"
     )
-    trace_sub = trace.add_subparsers(dest="trace_command", required=True)
-
-    inspect = trace_sub.add_parser(
-        "inspect", help="detect format, summarize, and digest a trace file"
+    inspect = _command(
+        trace_sub,
+        "inspect",
+        _cmd_trace_inspect,
+        "detect format, summarize, and digest a trace file",
     )
     inspect.add_argument("path")
     inspect.add_argument(
@@ -328,16 +382,16 @@ def _build_parser() -> argparse.ArgumentParser:
         "--limit", type=int, default=None, metavar="N",
         help="summarize only the first N records",
     )
-    inspect.add_argument("--json", action="store_true")
+    _add_inputs(inspect, "json")
 
-    replay = trace_sub.add_parser(
-        "replay", help="replay a trace file on one design (cache-aware)"
+    replay = _command(
+        trace_sub,
+        "replay",
+        _cmd_trace_replay,
+        "replay a trace file on one design (cache-aware)",
     )
     replay.add_argument("path")
-    replay.add_argument("--design", default="venice", choices=design_names())
-    replay.add_argument("--preset", default="performance-optimized")
-    replay.add_argument("--requests", type=int, default=1200)
-    replay.add_argument("--seed", type=int, default=42)
+    _add_inputs(replay, "design preset requests seed", requests=1200)
     replay.add_argument(
         "--time-scale", type=float, default=None, metavar="FACTOR",
         help="multiply inter-arrival gaps (<1 compresses the trace)",
@@ -346,13 +400,16 @@ def _build_parser() -> argparse.ArgumentParser:
         "--lba-policy", choices=("wrap", "scale"), default=None,
         help="how recorded offsets are fitted into the device footprint",
     )
-    replay.add_argument("--json", action="store_true")
+    _add_inputs(replay, "json")
     replay.add_argument(
         "--cache", default=None, metavar="DIR", help="result store directory"
     )
 
-    convert = trace_sub.add_parser(
-        "convert", help="rewrite a trace as canonical venice CSV"
+    convert = _command(
+        trace_sub,
+        "convert",
+        _cmd_trace_convert,
+        "rewrite a trace as canonical venice CSV",
     )
     convert.add_argument("path")
     convert.add_argument("out")
@@ -368,19 +425,16 @@ def _build_parser() -> argparse.ArgumentParser:
         help="convert only the first N records",
     )
 
-    faults = sub.add_parser(
-        "faults", help="fault injection: degradation sweeps, schedule checking"
+    faults_sub = _group(
+        sub, "faults", "fault injection: degradation sweeps, schedule checking"
     )
-    faults_sub = faults.add_subparsers(dest="faults_command", required=True)
-
-    sweep = faults_sub.add_parser(
+    sweep = _command(
+        faults_sub,
         "sweep",
-        help="throughput/p99 vs failed links across the five real fabrics",
+        _cmd_faults_sweep,
+        "throughput/p99 vs failed links across the five real fabrics",
     )
-    sweep.add_argument("--preset", default="performance-optimized")
-    sweep.add_argument("--workload", default="hm_0")
-    sweep.add_argument("--requests", type=int, default=600)
-    sweep.add_argument("--seed", type=int, default=42)
+    _add_inputs(sweep, "preset workload requests seed")
     sweep.add_argument(
         "--link-counts",
         nargs="*",
@@ -389,34 +443,38 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="failed-link counts of the curve (default: 0 1 2 4 8)",
     )
-    sweep.add_argument("--json", action="store_true")
     _add_orchestration_flags(sweep)
 
-    check = faults_sub.add_parser(
-        "check", help="parse a fault schedule and echo its canonical form"
+    check = _command(
+        faults_sub,
+        "check",
+        _cmd_faults_check,
+        "parse a fault schedule and echo its canonical form",
     )
     check.add_argument("schedule")
-    check.add_argument("--json", action="store_true")
+    _add_inputs(check, "json")
 
-    ftl = sub.add_parser(
+    ftl_sub = _group(
+        sub,
         "ftl",
-        help="sustained-write realism: write cliffs, WA vs OP, GC x faults",
+        "sustained-write realism: write cliffs, WA vs OP, GC x faults",
     )
-    ftl_sub = ftl.add_subparsers(dest="ftl_command", required=True)
-
-    ftl_sweep = ftl_sub.add_parser(
+    ftl_sweep = _command(
+        ftl_sub,
         "sweep",
-        help="write cliff, WA-vs-over-provisioning, and GC x faults "
+        _cmd_ftl_sweep,
+        "write cliff, WA-vs-over-provisioning, and GC x faults "
         "curves across the five real fabrics (docs/ftl.md)",
     )
-    ftl_sweep.add_argument("--preset", default="performance-optimized")
-    ftl_sweep.add_argument(
-        "--workload",
-        default=None,
-        help="trace to sustain (default prxy_0, the write-heaviest trace)",
+    _add_inputs(
+        ftl_sweep,
+        "preset workload requests seed",
+        workload=None,
+        help={
+            "workload": "trace to sustain (default prxy_0, the "
+            "write-heaviest trace)"
+        },
     )
-    ftl_sweep.add_argument("--requests", type=int, default=600)
-    ftl_sweep.add_argument("--seed", type=int, default=42)
     ftl_sweep.add_argument(
         "--fills",
         nargs="*",
@@ -470,32 +528,32 @@ def _build_parser() -> argparse.ArgumentParser:
         default=8,
         help="block capacity in pages (default 8)",
     )
-    ftl_sweep.add_argument("--json", action="store_true")
     _add_orchestration_flags(ftl_sweep)
 
-    fleet = sub.add_parser(
-        "fleet", help="multi-SSD fleets: tenant fan-out, placement, roll-ups"
+    fleet_sub = _group(
+        sub, "fleet", "multi-SSD fleets: tenant fan-out, placement, roll-ups"
     )
-    fleet_sub = fleet.add_subparsers(dest="fleet_command", required=True)
-
-    fleet_run = fleet_sub.add_parser(
-        "run", help="simulate one fleet and print the rolled-up metrics"
+    fleet_run = _command(
+        fleet_sub,
+        "run",
+        _cmd_fleet_run,
+        "simulate one fleet and print the rolled-up metrics",
     )
     fleet_run.add_argument(
         "--devices", type=int, default=2, metavar="N",
         help="fleet size when --designs is not given (default 2)",
     )
-    fleet_run.add_argument(
-        "--design", default="venice", choices=design_names(),
-        help="fabric replicated across all members (default venice)",
+    _add_inputs(
+        fleet_run,
+        "design",
+        help={"design": "fabric replicated across all members (default venice)"},
     )
     fleet_run.add_argument(
         "--designs", nargs="*", default=None, metavar="DESIGN",
         help="explicit per-member fabrics (mixed fleets; overrides "
         "--design/--devices)",
     )
-    fleet_run.add_argument("--preset", default="performance-optimized")
-    fleet_run.add_argument("--workload", default="hm_0")
+    _add_inputs(fleet_run, "preset workload")
     fleet_run.add_argument(
         "--tenants", type=int, default=8, metavar="T",
         help="simulated tenant streams fanned out over the fleet (default 8)",
@@ -504,8 +562,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--placement", default="round-robin", metavar="POLICY",
         help="round-robin | stripe[:BYTES] | hash-tenant (default round-robin)",
     )
-    fleet_run.add_argument("--requests", type=int, default=600)
-    fleet_run.add_argument("--seed", type=int, default=42)
+    _add_inputs(fleet_run, "requests seed")
     fleet_run.add_argument(
         "--faults", nargs="*", default=None, metavar="[IDX:]SCHEDULE",
         help="fault schedules; 'IDX:SCHEDULE' degrades member IDX only, a "
@@ -527,11 +584,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="adversarial burst clause: tenant T offers F times its fair "
         "share, e.g. 0x8 (default: all tenants fair)",
     )
-    fleet_run.add_argument("--json", action="store_true")
     _add_orchestration_flags(fleet_run)
 
-    fleet_sweep = fleet_sub.add_parser(
-        "sweep", help="throughput/p99 vs device count and placement policy"
+    fleet_sweep = _command(
+        fleet_sub,
+        "sweep",
+        _cmd_fleet_sweep,
+        "throughput/p99 vs device count and placement policy",
     )
     fleet_sweep.add_argument(
         "--devices", nargs="*", type=int, default=None, metavar="N",
@@ -541,12 +600,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--placements", nargs="*", default=None, metavar="POLICY",
         help="placement policies to compare (default: round-robin)",
     )
-    fleet_sweep.add_argument("--design", default="venice", choices=design_names())
-    fleet_sweep.add_argument("--preset", default="performance-optimized")
-    fleet_sweep.add_argument("--workload", default="hm_0")
+    _add_inputs(fleet_sweep, "design preset workload")
     fleet_sweep.add_argument("--tenants", type=int, default=8, metavar="T")
-    fleet_sweep.add_argument("--requests", type=int, default=600)
-    fleet_sweep.add_argument("--seed", type=int, default=42)
+    _add_inputs(fleet_sweep, "requests seed")
     fleet_sweep.add_argument(
         "--sample", type=int, default=0, metavar="K",
         help="simulate K stratified representatives per cell and "
@@ -561,28 +617,25 @@ def _build_parser() -> argparse.ArgumentParser:
         "--burst", default="", metavar="TxF",
         help="adversarial burst clause applied to every cell, e.g. 0x8",
     )
-    fleet_sweep.add_argument("--json", action="store_true")
     _add_orchestration_flags(fleet_sweep)
 
-    qos = sub.add_parser(
-        "qos",
-        help="multi-tenant QoS isolation: victim p99 vs noisy neighbour",
+    qos_sub = _group(
+        sub, "qos", "multi-tenant QoS isolation: victim p99 vs noisy neighbour"
     )
-    qos_sub = qos.add_subparsers(dest="qos_command", required=True)
-
-    qos_sweep = qos_sub.add_parser(
+    qos_sweep = _command(
+        qos_sub,
         "sweep",
-        help="victim-tenant p99 vs adversarial offered load, per fabric x "
+        _cmd_qos_sweep,
+        "victim-tenant p99 vs adversarial offered load, per fabric x "
         "placement x dispatcher policy (docs/qos.md)",
     )
-    qos_sweep.add_argument("--preset", default="performance-optimized")
-    qos_sweep.add_argument(
-        "--workload",
-        default=None,
-        help="trace each tenant replays (default hm_0)",
+    _add_inputs(
+        qos_sweep,
+        "preset workload requests seed",
+        requests=300,
+        workload=None,
+        help={"workload": "trace each tenant replays (default hm_0)"},
     )
-    qos_sweep.add_argument("--requests", type=int, default=300)
-    qos_sweep.add_argument("--seed", type=int, default=42)
     qos_sweep.add_argument(
         "--levels",
         nargs="*",
@@ -628,60 +681,54 @@ def _build_parser() -> argparse.ArgumentParser:
         "--burst-tenant", type=int, default=0, metavar="T",
         help="the tenant that misbehaves (default 0)",
     )
-    qos_sweep.add_argument("--json", action="store_true")
     _add_orchestration_flags(qos_sweep)
 
-    store = sub.add_parser(
-        "store", help="result-store maintenance and observability"
-    )
-    store_sub = store.add_subparsers(dest="store_command", required=True)
-    store_stats = store_sub.add_parser(
-        "stats",
-        help="entry/checkpoint counts, byte totals, session cache counters",
-    )
-    store_stats.add_argument(
-        "--cache", required=True, metavar="DIR",
-        help="result store directory to inspect",
-    )
-    store_stats.add_argument("--json", action="store_true")
+    store_sub = _group(sub, "store", "result-store maintenance and observability")
+    for name, handler, summary, verb in (
+        (
+            "stats",
+            _cmd_store_report,
+            "entry/checkpoint counts, byte totals, session cache counters",
+            "inspect",
+        ),
+        (
+            "verify",
+            _cmd_store_verify,
+            "check every entry's content hash against its digest key",
+            "verify",
+        ),
+        (
+            "gc",
+            _cmd_store_report,
+            "drop quarantined entries and stale temp files",
+            "collect",
+        ),
+        (
+            "compact",
+            _cmd_store_report,
+            "rewrite storage compactly (minify JSON / VACUUM sqlite)",
+            "compact",
+        ),
+    ):
+        store_command = _command(store_sub, name, handler, summary)
+        store_command.add_argument(
+            "--cache", required=True, metavar="DIR",
+            help=f"result store directory to {verb}",
+        )
+        if name == "verify":
+            store_command.add_argument(
+                "--repair",
+                action="store_true",
+                help="quarantine corrupt entries (they re-simulate as cache "
+                "misses)",
+            )
+        _add_inputs(store_command, "json")
 
-    store_verify = store_sub.add_parser(
-        "verify",
-        help="check every entry's content hash against its digest key",
-    )
-    store_verify.add_argument(
-        "--cache", required=True, metavar="DIR",
-        help="result store directory to verify",
-    )
-    store_verify.add_argument(
-        "--repair",
-        action="store_true",
-        help="quarantine corrupt entries (they re-simulate as cache misses)",
-    )
-    store_verify.add_argument("--json", action="store_true")
-
-    store_gc = store_sub.add_parser(
-        "gc", help="drop quarantined entries and stale temp files"
-    )
-    store_gc.add_argument(
-        "--cache", required=True, metavar="DIR",
-        help="result store directory to collect",
-    )
-    store_gc.add_argument("--json", action="store_true")
-
-    store_compact = store_sub.add_parser(
-        "compact",
-        help="rewrite storage compactly (minify JSON / VACUUM sqlite)",
-    )
-    store_compact.add_argument(
-        "--cache", required=True, metavar="DIR",
-        help="result store directory to compact",
-    )
-    store_compact.add_argument("--json", action="store_true")
-
-    worker = sub.add_parser(
+    worker = _command(
+        sub,
         "worker",
-        help="drain a work queue: lease tasks, heartbeat, execute, retry "
+        _cmd_worker,
+        "drain a work queue: lease tasks, heartbeat, execute, retry "
         "(docs/distributed.md)",
     )
     worker.add_argument(
@@ -706,26 +753,28 @@ def _build_parser() -> argparse.ArgumentParser:
         help="per-task wall-clock limit; a hung simulation is killed and "
         "counted as a failed attempt",
     )
-    worker.add_argument("--json", action="store_true")
+    _add_inputs(worker, "json")
 
-    queue = sub.add_parser(
-        "queue", help="work-queue observability: task states, dead letters"
+    queue_sub = _group(
+        sub, "queue", "work-queue observability: task states, dead letters"
     )
-    queue_sub = queue.add_subparsers(dest="queue_command", required=True)
-    queue_status = queue_sub.add_parser(
-        "status", help="task-state counts and the queue's frozen policy"
-    )
-    queue_status.add_argument("--queue", required=True, metavar="DIR")
-    queue_status.add_argument("--json", action="store_true")
-    queue_dead = queue_sub.add_parser(
-        "dead", help="dead-lettered tasks with their captured errors"
-    )
-    queue_dead.add_argument("--queue", required=True, metavar="DIR")
-    queue_dead.add_argument("--json", action="store_true")
+    for name, handler, summary in (
+        (
+            "status",
+            _cmd_queue_status,
+            "task-state counts and the queue's frozen policy",
+        ),
+        ("dead", _cmd_queue_dead, "dead-lettered tasks with their captured errors"),
+    ):
+        queue_command = _command(queue_sub, name, handler, summary)
+        queue_command.add_argument("--queue", required=True, metavar="DIR")
+        _add_inputs(queue_command, "json")
 
-    serve = sub.add_parser(
+    serve = _command(
+        sub,
         "serve",
-        help="run the HTTP control plane: accept run/fleet/sweep specs "
+        _cmd_serve,
+        "run the HTTP control plane: accept run/fleet/sweep specs "
         "over JSON, execute them on a worker pool, survive restarts "
         "(docs/service.md)",
     )
@@ -763,21 +812,25 @@ def _build_parser() -> argparse.ArgumentParser:
         help="log requests and job transitions to stderr",
     )
 
-    list_parser = sub.add_parser(
+    list_parser = _command(
+        sub,
         "list",
-        help="list workloads, mixes, designs, presets, trace formats, "
-        "placements",
+        _cmd_list,
+        "list workloads, mixes, designs, presets, trace formats, placements",
     )
-    list_parser.add_argument(
-        "--json", action="store_true",
-        help="machine-readable name catalog (what the service dashboard "
-        "and scripts consume)",
+    _add_inputs(
+        list_parser,
+        "json",
+        help={
+            "json": "machine-readable name catalog (what the service "
+            "dashboard and scripts consume)"
+        },
     )
     return parser
 
 
 def _store(args: argparse.Namespace) -> Optional[ResultStore]:
-    if not getattr(args, "cache", None):
+    if not args.cache:
         return None
     try:
         return ResultStore(
@@ -789,8 +842,8 @@ def _store(args: argparse.Namespace) -> Optional[ResultStore]:
         )
 
 
-def _orchestration(args: argparse.Namespace):
-    """Resolve the (executor, store) pair the sweep commands share.
+def _orchestration(args: argparse.Namespace) -> Dict[str, object]:
+    """The ``executor``/``store`` keyword arguments the sweeps share.
 
     ``--queue DIR`` routes the batch through a crash-safe work queue
     (enqueue-and-wait, participating as a worker); the queue binds the
@@ -798,69 +851,94 @@ def _orchestration(args: argparse.Namespace):
     worker writes into.  Without it, ``--jobs``/``--timeout`` pick the
     in-process serial or multiprocessing backend.
     """
-    timeout = getattr(args, "timeout", None)
-    if timeout is not None and timeout <= 0:
-        raise ConfigurationError(f"--timeout must be > 0, got {timeout}")
-    queue_dir = getattr(args, "queue", None)
-    if queue_dir:
+    if args.timeout is not None and args.timeout <= 0:
+        raise ConfigurationError(f"--timeout must be > 0, got {args.timeout}")
+    if args.queue:
         from repro.experiments.queue import WorkQueue
         from repro.experiments.worker import QueueExecutor
 
         queue = WorkQueue(
-            queue_dir,
-            store_dir=getattr(args, "cache", None),
-            store_backend=getattr(args, "store_backend", "auto"),
-            lease_seconds=getattr(args, "lease", 30.0),
-            max_attempts=getattr(args, "max_attempts", 3),
+            args.queue,
+            store_dir=args.cache,
+            store_backend=args.store_backend,
+            lease_seconds=args.lease,
+            max_attempts=args.max_attempts,
         )
-        executor = QueueExecutor(queue, timeout=timeout)
+        executor = QueueExecutor(queue, timeout=args.timeout)
         # Serve figure-level cache hits from the queue's bound store, so a
         # warm re-run enqueues nothing that is already computed.
-        return executor, executor.worker.store
-    return make_executor(getattr(args, "jobs", 1), timeout), _store(args)
+        return {"executor": executor, "store": executor.worker.store}
+    return {
+        "executor": make_executor(args.jobs, args.timeout),
+        "store": _store(args),
+    }
 
 
-def _emit_run_result(result, as_json: bool) -> int:
-    """Print one RunResult as a metrics table or JSON payload."""
-    if as_json:
-        payload = {
-            "design": result.design,
-            "workload": result.workload,
-            "config": result.config_name,
-            "requests": result.requests_completed,
-            "execution_time_ns": result.execution_time_ns,
-            "iops": result.iops,
-            "mean_latency_ns": result.mean_latency_ns,
-            "p99_latency_ns": result.p99_latency_ns,
-            "conflict_fraction": result.conflict_fraction,
-            "energy_mj": result.energy_mj,
-            "average_power_mw": result.average_power_mw,
-        }
-        print(json.dumps(payload, indent=2))
-        return 0
+Render = Union[str, Callable[[argparse.Namespace, dict], None]]
+
+
+def _emit(args: argparse.Namespace, payload: dict, render: Render) -> int:
+    """Print ``payload``: as JSON under ``--json``, else through ``render``.
+
+    ``render`` is either a ``render(args, payload)`` table printer or a
+    title string for a two-column field/value table.
+    """
+    if args.json:
+        print(json.dumps(payload, indent=2, default=str))
+    elif callable(render):
+        render(args, payload)
+    else:
+        print(
+            format_table(
+                ["field", "value"],
+                [[key, value] for key, value in payload.items()],
+                title=render,
+            )
+        )
+    return 0
+
+
+def _run_spec(args: argparse.Namespace, spec) -> int:
+    """Execute one spec and print its metrics."""
+    result = execute_specs([spec], store=_store(args))[spec]
+    payload = {
+        "design": result.design,
+        "workload": result.workload,
+        "config": result.config_name,
+        "requests": result.requests_completed,
+        "execution_time_ns": result.execution_time_ns,
+        "iops": result.iops,
+        "mean_latency_ns": result.mean_latency_ns,
+        "p99_latency_ns": result.p99_latency_ns,
+        "conflict_fraction": result.conflict_fraction,
+        "energy_mj": result.energy_mj,
+        "average_power_mw": result.average_power_mw,
+    }
+    return _emit(args, payload, _render_run)
+
+
+def _render_run(args: argparse.Namespace, run: dict) -> None:
     print(
         format_table(
             ["metric", "value"],
             [
-                ["design", result.design],
-                ["workload", result.workload],
-                ["requests", result.requests_completed],
-                ["execution time (ms)", result.execution_time_ns / 1e6],
-                ["IOPS", result.iops],
-                ["mean latency (us)", result.mean_latency_ns / 1e3],
-                ["p99 latency (us)", result.p99_latency_ns / 1e3],
-                ["conflict fraction", result.conflict_fraction],
-                ["energy (mJ)", result.energy_mj],
-                ["avg power (mW)", result.average_power_mw],
+                ["design", run["design"]],
+                ["workload", run["workload"]],
+                ["requests", run["requests"]],
+                ["execution time (ms)", run["execution_time_ns"] / 1e6],
+                ["IOPS", run["iops"]],
+                ["mean latency (us)", run["mean_latency_ns"] / 1e3],
+                ["p99 latency (us)", run["p99_latency_ns"] / 1e3],
+                ["conflict fraction", run["conflict_fraction"]],
+                ["energy (mJ)", run["energy_mj"]],
+                ["avg power (mW)", run["average_power_mw"]],
             ],
-            title=f"{result.design} on {result.workload} ({result.config_name})",
+            title=f"{run['design']} on {run['workload']} ({run['config']})",
         )
     )
-    return 0
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    scale = ExperimentScale.for_requests(args.requests, args.seed)
     # FTL knobs join the spec digest only when given on the command line;
     # a knob-free invocation produces byte-identical specs and results.
     device_kwargs = {}
@@ -877,24 +955,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
         DesignKind.from_name(args.design),
         args.preset,
         args.workload,
-        scale,
-        mix=args.workload in mix_names(),
+        ExperimentScale.for_requests(args.requests, args.seed),
         **device_kwargs,
     )
-    result = execute_specs([spec], store=_store(args))[spec]
-    return _emit_run_result(result, args.json)
+    return _run_spec(args, spec)
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    scale = ExperimentScale.for_requests(args.requests, args.seed)
-    executor, store = _orchestration(args)
     results = run_suite(
         args.preset,
         args.workload,
-        scale,
-        mix=args.workload in mix_names(),
-        executor=executor,
-        store=store,
+        ExperimentScale.for_requests(args.requests, args.seed),
+        **_orchestration(args),
     )
     baseline = results["baseline"]
     rows = [
@@ -938,7 +1010,6 @@ def _print_figure(name: str, result: dict) -> None:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    scale = ExperimentScale.for_requests(args.requests, args.seed)
     requested = args.workloads
     if args.trace is not None:
         if not args.trace:
@@ -952,44 +1023,61 @@ def _cmd_figure(args: argparse.Namespace) -> int:
             )
         requested = [TRACE_WORKLOAD_PREFIX + path for path in args.trace]
     workloads = figures.validate_figure_workloads(args.name, requested)
-    executor, store = _orchestration(args)
     result = figures.run_figure(
         args.name,
-        scale,
+        ExperimentScale.for_requests(args.requests, args.seed),
         workloads,
-        executor=executor,
-        store=store,
         faults=args.faults,
         warmup=args.warmup,
         early_stop=args.early_stop,
+        **_orchestration(args),
     )
-    if args.json:
-        print(json.dumps(result, indent=2, default=str))
-        return 0
-    _print_figure(args.name, result)
-    return 0
+    return _emit(args, result, lambda args, result: _print_figure(args.name, result))
 
 
-def _cmd_matrix(args: argparse.Namespace) -> int:
-    scale = ExperimentScale.for_requests(args.requests, args.seed)
-    executor, store = _orchestration(args)
-    results = figures.run_all_figures(
-        scale,
-        workloads=args.workloads,
-        mixes=args.mixes,
-        figures=args.figures,
-        executor=executor,
-        store=store,
-        warmup=args.warmup,
-        early_stop=args.early_stop,
-    )
-    if args.json:
-        print(json.dumps(results, indent=2, default=str))
-        return 0
+def _render_matrix(args: argparse.Namespace, results: dict) -> None:
     for name, result in results.items():
         _print_figure(name, result)
         print()
-    return 0
+
+
+def _cmd_matrix(args: argparse.Namespace) -> int:
+    results = figures.run_all_figures(
+        ExperimentScale.for_requests(args.requests, args.seed),
+        workloads=args.workloads,
+        mixes=args.mixes,
+        figures=args.figures,
+        warmup=args.warmup,
+        early_stop=args.early_stop,
+        **_orchestration(args),
+    )
+    return _emit(args, results, _render_matrix)
+
+
+def _render_bench(args: argparse.Namespace, payload: dict) -> None:
+    engine = payload["engine"]
+    print(f"engine events/sec:    {engine['events_per_sec']:,.0f}")
+    print(f"resource cycles/sec:  {payload['resources']['cycles_per_sec']:,.0f}")
+    print(f"fan-out procs/sec:    {payload['fanout']['processes_per_sec']:,.0f}")
+    for design, stats in payload["end_to_end"].items():
+        print(f"e2e {design:9s} req/sec: {stats['requests_per_sec']:,.1f}")
+    print(f"aggregate req/sec:    {payload['requests_per_sec']:,.1f}")
+    if payload["peak_rss_kb"] is not None:
+        print(f"peak RSS:             {payload['peak_rss_kb']:,} KiB")
+    sweep = payload.get("sweep_speedup")
+    if sweep:
+        print(
+            f"sweep events exact:   {sweep['exact_events']:,} "
+            f"({sweep['exact_cells']} cells)"
+        )
+        print(
+            f"sweep events opt:     {sweep['optimized_events']:,} "
+            f"({sweep['optimized_cells']} cells, "
+            f"{sweep['early_stopped_cells']} early-stopped, "
+            f"{sweep['warmups_computed']} warm-ups)"
+        )
+        print(f"sweep event speedup:  {sweep['event_speedup']:.2f}x")
+    print(f"wrote {args.out}")
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -999,32 +1087,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        engine = payload["engine"]
-        print(f"engine events/sec:    {engine['events_per_sec']:,.0f}")
-        print(f"resource cycles/sec:  {payload['resources']['cycles_per_sec']:,.0f}")
-        print(f"fan-out procs/sec:    {payload['fanout']['processes_per_sec']:,.0f}")
-        for design, stats in payload["end_to_end"].items():
-            print(f"e2e {design:9s} req/sec: {stats['requests_per_sec']:,.1f}")
-        print(f"aggregate req/sec:    {payload['requests_per_sec']:,.1f}")
-        if payload["peak_rss_kb"] is not None:
-            print(f"peak RSS:             {payload['peak_rss_kb']:,} KiB")
-        sweep = payload.get("sweep_speedup")
-        if sweep:
-            print(
-                f"sweep events exact:   {sweep['exact_events']:,} "
-                f"({sweep['exact_cells']} cells)"
-            )
-            print(
-                f"sweep events opt:     {sweep['optimized_events']:,} "
-                f"({sweep['optimized_cells']} cells, "
-                f"{sweep['early_stopped_cells']} early-stopped, "
-                f"{sweep['warmups_computed']} warm-ups)"
-            )
-            print(f"sweep event speedup:  {sweep['event_speedup']:.2f}x")
-        print(f"wrote {args.out}")
+    _emit(args, payload, _render_bench)
     if args.baseline:
         try:
             with open(args.baseline, "r", encoding="utf-8") as handle:
@@ -1042,8 +1105,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _trace_summary(args: argparse.Namespace) -> dict:
-    """Stream a trace file once and summarize it (inspect payload)."""
+def _cmd_trace_inspect(args: argparse.Namespace) -> int:
+    """Stream a trace file once, then summarize and digest it."""
     fmt = (
         trace_formats.format_by_name(args.trace_format)
         if args.trace_format
@@ -1061,7 +1124,7 @@ def _trace_summary(args: argparse.Namespace) -> dict:
         reads += record.kind.value == "read"
         size_total += record.size_bytes
     span_ns = last_arrival - first_arrival
-    return {
+    summary = {
         "path": args.path,
         "format": fmt.name,
         "format_description": fmt.description,
@@ -1074,25 +1137,10 @@ def _trace_summary(args: argparse.Namespace) -> dict:
         "duration_ms": round(span_ns / 1e6, 3),
         "digest": trace_formats.trace_digest(args.path, fmt),
     }
-
-
-def _cmd_trace_inspect(args: argparse.Namespace) -> int:
-    summary = _trace_summary(args)
-    if args.json:
-        print(json.dumps(summary, indent=2))
-        return 0
-    print(
-        format_table(
-            ["field", "value"],
-            [[key, value] for key, value in summary.items()],
-            title=f"trace {args.path}",
-        )
-    )
-    return 0
+    return _emit(args, summary, f"trace {args.path}")
 
 
 def _cmd_trace_replay(args: argparse.Namespace) -> int:
-    scale = ExperimentScale.for_requests(args.requests, args.seed)
     options = {}
     if args.time_scale is not None:
         options["time_scale"] = args.time_scale
@@ -1102,11 +1150,10 @@ def _cmd_trace_replay(args: argparse.Namespace) -> int:
         DesignKind.from_name(args.design),
         args.preset,
         TRACE_WORKLOAD_PREFIX + args.path,
-        scale,
+        ExperimentScale.for_requests(args.requests, args.seed),
         trace_options=options or None,
     )
-    result = execute_specs([spec], store=_store(args))[spec]
-    return _emit_run_result(result, args.json)
+    return _run_spec(args, spec)
 
 
 def _cmd_trace_convert(args: argparse.Namespace) -> int:
@@ -1142,38 +1189,9 @@ def _cmd_trace_convert(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
-    if args.trace_command == "inspect":
-        return _cmd_trace_inspect(args)
-    if args.trace_command == "replay":
-        return _cmd_trace_replay(args)
-    return _cmd_trace_convert(args)
-
-
-def _cmd_faults_sweep(args: argparse.Namespace) -> int:
-    from repro.experiments.faults import DEFAULT_LINK_COUNTS, run_faults_sweep
-
-    scale = ExperimentScale.for_requests(args.requests, args.seed)
-    link_counts = (
-        args.link_counts if args.link_counts else list(DEFAULT_LINK_COUNTS)
-    )
-    executor, store = _orchestration(args)
-    result = run_faults_sweep(
-        preset=args.preset,
-        workload=args.workload,
-        scale=scale,
-        link_counts=link_counts,
-        seed=args.seed,
-        mix=args.workload in mix_names(),
-        executor=executor,
-        store=store,
-    )
-    if args.json:
-        print(json.dumps(result, indent=2, default=str))
-        return 0
+def _render_faults_sweep(args: argparse.Namespace, result: dict) -> None:
     designs = result["designs"]
     curve = result["curve"]
-    counts = result["link_counts"]
     for metric, label, scale_by in (
         ("iops", "throughput (IOPS)", 1.0),
         ("p99_latency_ns", "p99 latency (us)", 1e-3),
@@ -1182,7 +1200,7 @@ def _cmd_faults_sweep(args: argparse.Namespace) -> int:
         rows = [
             [count]
             + [curve[count][design][metric] * scale_by for design in designs]
-            for count in counts
+            for count in result["link_counts"]
         ]
         print(
             format_table(
@@ -1193,69 +1211,41 @@ def _cmd_faults_sweep(args: argparse.Namespace) -> int:
             )
         )
         print()
-    return 0
+
+
+def _cmd_faults_sweep(args: argparse.Namespace) -> int:
+    from repro.experiments.faults import DEFAULT_LINK_COUNTS, run_faults_sweep
+
+    result = run_faults_sweep(
+        preset=args.preset,
+        workload=args.workload,
+        scale=ExperimentScale.for_requests(args.requests, args.seed),
+        link_counts=args.link_counts or list(DEFAULT_LINK_COUNTS),
+        seed=args.seed,
+        **_orchestration(args),
+    )
+    return _emit(args, result, _render_faults_sweep)
 
 
 def _cmd_faults_check(args: argparse.Namespace) -> int:
     from repro.sim.faults import FaultSchedule
 
     schedule = FaultSchedule.parse(args.schedule)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "canonical": schedule.to_spec(),
-                    "events": [event.to_clause() for event in schedule],
-                },
-                indent=2,
-            )
-        )
-        return 0
-    print(f"events: {len(schedule)}")
-    print(f"canonical: {schedule.to_spec()}")
-    return 0
-
-
-def _cmd_faults(args: argparse.Namespace) -> int:
-    if args.faults_command == "sweep":
-        return _cmd_faults_sweep(args)
-    return _cmd_faults_check(args)
-
-
-def _cmd_ftl_sweep(args: argparse.Namespace) -> int:
-    from repro.experiments.ftl import (
-        DEFAULT_CHURN,
-        DEFAULT_FILL_LEVELS,
-        DEFAULT_OP_LEVELS,
-        DEFAULT_WA_FILL,
-        DEFAULT_WORKLOAD,
-        run_ftl_sweep,
-        sustained_scale,
+    payload = {
+        "canonical": schedule.to_spec(),
+        "events": [event.to_clause() for event in schedule],
+    }
+    return _emit(
+        args,
+        payload,
+        lambda args, payload: print(
+            f"events: {len(payload['events'])}\n"
+            f"canonical: {payload['canonical']}"
+        ),
     )
 
-    scale = sustained_scale(
-        requests=args.requests,
-        seed=args.seed,
-        blocks_per_plane=args.blocks_per_plane,
-        pages_per_block=args.pages_per_block,
-    )
-    executor, store = _orchestration(args)
-    result = run_ftl_sweep(
-        preset=args.preset,
-        workload=args.workload or DEFAULT_WORKLOAD,
-        scale=scale,
-        fill_levels=args.fills or DEFAULT_FILL_LEVELS,
-        op_levels=args.op or DEFAULT_OP_LEVELS,
-        wa_fill=args.fill if args.fill is not None else DEFAULT_WA_FILL,
-        churn=args.churn if args.churn is not None else DEFAULT_CHURN,
-        seed=args.seed,
-        faulted_links=args.link_faults,
-        executor=executor,
-        store=store,
-    )
-    if args.json:
-        print(json.dumps(result, indent=2, default=str))
-        return 0
+
+def _render_ftl_sweep(args: argparse.Namespace, result: dict) -> None:
     designs = result["designs"]
     title_suffix = f"{result['workload']} on {args.preset}"
 
@@ -1314,11 +1304,37 @@ def _cmd_ftl_sweep(args: argparse.Namespace) -> int:
             f"({result['faulted_links']} dead link(s)) -- {title_suffix}",
         )
     )
-    return 0
 
 
-def _cmd_ftl(args: argparse.Namespace) -> int:
-    return _cmd_ftl_sweep(args)
+def _cmd_ftl_sweep(args: argparse.Namespace) -> int:
+    from repro.experiments.ftl import (
+        DEFAULT_CHURN,
+        DEFAULT_FILL_LEVELS,
+        DEFAULT_OP_LEVELS,
+        DEFAULT_WA_FILL,
+        DEFAULT_WORKLOAD,
+        run_ftl_sweep,
+        sustained_scale,
+    )
+
+    result = run_ftl_sweep(
+        preset=args.preset,
+        workload=args.workload or DEFAULT_WORKLOAD,
+        scale=sustained_scale(
+            requests=args.requests,
+            seed=args.seed,
+            blocks_per_plane=args.blocks_per_plane,
+            pages_per_block=args.pages_per_block,
+        ),
+        fill_levels=args.fills or DEFAULT_FILL_LEVELS,
+        op_levels=args.op or DEFAULT_OP_LEVELS,
+        wa_fill=args.fill if args.fill is not None else DEFAULT_WA_FILL,
+        churn=args.churn if args.churn is not None else DEFAULT_CHURN,
+        seed=args.seed,
+        faulted_links=args.link_faults,
+        **_orchestration(args),
+    )
+    return _emit(args, result, _render_ftl_sweep)
 
 
 def _parse_member_faults(entries, count: int):
@@ -1350,31 +1366,7 @@ def _parse_member_faults(entries, count: int):
     return member_faults
 
 
-def _cmd_fleet_run(args: argparse.Namespace) -> int:
-    from repro.fleet import make_fleet_spec, run_fleet
-
-    scale = ExperimentScale.for_requests(args.requests, args.seed)
-    designs = args.designs if args.designs else args.design
-    count = len(args.designs) if args.designs else args.devices
-    fleet = make_fleet_spec(
-        designs,
-        args.preset,
-        args.workload,
-        scale,
-        devices=count,
-        placement=args.placement,
-        tenants=args.tenants,
-        sample=min(args.sample, count) if args.sample > 0 else 0,
-        qos=args.qos,
-        burst=args.burst,
-        mix=args.workload in mix_names(),
-        faults=_parse_member_faults(args.faults, count),
-    )
-    executor, store = _orchestration(args)
-    payload = run_fleet(fleet, executor=executor, store=store)
-    if args.json:
-        print(json.dumps(payload, indent=2, default=str))
-        return 0
+def _render_fleet_run(title: str, payload: dict) -> None:
     latency = payload["latency"]
     imbalance = payload["imbalance"]
     print(
@@ -1395,7 +1387,7 @@ def _cmd_fleet_run(args: argparse.Namespace) -> int:
                 ["imbalance (max/mean)", imbalance["max_over_mean"]],
                 ["imbalance (cv)", imbalance["cv"]],
             ],
-            title=f"{fleet.label()} on {args.workload}",
+            title=title,
         )
     )
     sample = payload.get("sample")
@@ -1460,37 +1452,33 @@ def _cmd_fleet_run(args: argparse.Namespace) -> int:
                 title="per-tenant",
             )
         )
-    return 0
 
 
-def _cmd_fleet_sweep(args: argparse.Namespace) -> int:
-    from repro.fleet import (
-        DEFAULT_DEVICE_COUNTS,
-        DEFAULT_PLACEMENTS,
-        run_fleet_sweep,
-    )
+def _cmd_fleet_run(args: argparse.Namespace) -> int:
+    from repro.fleet import make_fleet_spec, run_fleet
 
-    scale = ExperimentScale.for_requests(args.requests, args.seed)
-    executor, store = _orchestration(args)
-    payload = run_fleet_sweep(
-        args.design,
+    count = len(args.designs) if args.designs else args.devices
+    fleet = make_fleet_spec(
+        args.designs or args.design,
         args.preset,
         args.workload,
-        scale,
-        device_counts=args.devices or DEFAULT_DEVICE_COUNTS,
-        placements=args.placements or DEFAULT_PLACEMENTS,
+        ExperimentScale.for_requests(args.requests, args.seed),
+        devices=count,
+        placement=args.placement,
         tenants=args.tenants,
-        sample=max(0, args.sample),
+        # Clamped to the fleet size; a negative K reaches FleetSpec's
+        # range check and is rejected there.
+        sample=min(args.sample, count),
         qos=args.qos,
         burst=args.burst,
-        mix=args.workload in mix_names(),
-        executor=executor,
-        store=store,
+        faults=_parse_member_faults(args.faults, count),
     )
-    if args.json:
-        print(json.dumps(payload, indent=2, default=str))
-        return 0
-    counts = payload["device_counts"]
+    payload = run_fleet(fleet, **_orchestration(args))
+    title = f"{fleet.label()} on {args.workload}"
+    return _emit(args, payload, lambda _, payload: _render_fleet_run(title, payload))
+
+
+def _render_fleet_sweep(args: argparse.Namespace, payload: dict) -> None:
     for placement in payload["placements"]:
         cells = payload["curve"][placement]
         rows = [
@@ -1501,7 +1489,7 @@ def _cmd_fleet_sweep(args: argparse.Namespace) -> int:
                 cells[count]["latency"]["p999_ns"] / 1e3,
                 cells[count]["imbalance"]["max_over_mean"],
             ]
-            for count in counts
+            for count in payload["device_counts"]
         ]
         print(
             format_table(
@@ -1513,46 +1501,33 @@ def _cmd_fleet_sweep(args: argparse.Namespace) -> int:
             )
         )
         print()
-    return 0
 
 
-def _cmd_fleet(args: argparse.Namespace) -> int:
-    if args.fleet_command == "run":
-        return _cmd_fleet_run(args)
-    return _cmd_fleet_sweep(args)
-
-
-def _cmd_qos_sweep(args: argparse.Namespace) -> int:
-    from repro.experiments.faults import SWEEP_DESIGNS
-    from repro.experiments.qos import (
-        DEFAULT_BURST_LEVELS,
-        DEFAULT_WORKLOAD,
-        qos_scale,
-        run_qos_sweep,
+def _cmd_fleet_sweep(args: argparse.Namespace) -> int:
+    from repro.fleet import (
+        DEFAULT_DEVICE_COUNTS,
+        DEFAULT_PLACEMENTS,
+        run_fleet_sweep,
     )
 
-    scale = qos_scale(requests=args.requests, seed=args.seed)
-    executor, store = _orchestration(args)
-    result = run_qos_sweep(
-        preset=args.preset,
-        workload=args.workload or DEFAULT_WORKLOAD,
-        scale=scale,
-        levels=args.levels or DEFAULT_BURST_LEVELS,
-        policies=args.policies,
-        designs=args.designs or SWEEP_DESIGNS,
-        placements=args.placements,
-        seed=args.seed,
-        devices=args.devices,
+    payload = run_fleet_sweep(
+        args.design,
+        args.preset,
+        args.workload,
+        ExperimentScale.for_requests(args.requests, args.seed),
+        device_counts=args.devices or DEFAULT_DEVICE_COUNTS,
+        placements=args.placements or DEFAULT_PLACEMENTS,
         tenants=args.tenants,
-        burst_tenant=args.burst_tenant,
-        executor=executor,
-        store=store,
+        sample=args.sample,
+        qos=args.qos,
+        burst=args.burst,
+        **_orchestration(args),
     )
-    if args.json:
-        print(json.dumps(result, indent=2, default=str))
-        return 0
+    return _emit(args, payload, _render_fleet_sweep)
+
+
+def _render_qos_sweep(args: argparse.Namespace, result: dict) -> None:
     designs = result["designs"]
-    levels = result["levels"]
     for placement in result["placements"]:
         per_policy = result["curve"][placement]
         for label, spec in result["policies"].items():
@@ -1563,7 +1538,7 @@ def _cmd_qos_sweep(args: argparse.Namespace) -> int:
                     per_design[design][index]["victim_p99_ns"] / 1e3
                     for design in designs
                 ]
-                for index, level in enumerate(levels)
+                for index, level in enumerate(result["levels"])
             ]
             shown = spec or "arrival order"
             print(
@@ -1576,11 +1551,32 @@ def _cmd_qos_sweep(args: argparse.Namespace) -> int:
                 )
             )
             print()
-    return 0
 
 
-def _cmd_qos(args: argparse.Namespace) -> int:
-    return _cmd_qos_sweep(args)
+def _cmd_qos_sweep(args: argparse.Namespace) -> int:
+    from repro.experiments.faults import SWEEP_DESIGNS
+    from repro.experiments.qos import (
+        DEFAULT_BURST_LEVELS,
+        DEFAULT_WORKLOAD,
+        qos_scale,
+        run_qos_sweep,
+    )
+
+    result = run_qos_sweep(
+        preset=args.preset,
+        workload=args.workload or DEFAULT_WORKLOAD,
+        scale=qos_scale(requests=args.requests, seed=args.seed),
+        levels=args.levels or DEFAULT_BURST_LEVELS,
+        policies=args.policies,
+        designs=args.designs or SWEEP_DESIGNS,
+        placements=args.placements,
+        seed=args.seed,
+        devices=args.devices,
+        tenants=args.tenants,
+        burst_tenant=args.burst_tenant,
+        **_orchestration(args),
+    )
+    return _emit(args, result, _render_qos_sweep)
 
 
 def _open_store(args: argparse.Namespace) -> ResultStore:
@@ -1593,63 +1589,33 @@ def _open_store(args: argparse.Namespace) -> ResultStore:
     return ResultStore(args.cache)
 
 
-def _emit_payload(payload: dict, as_json: bool, title: str) -> int:
-    if as_json:
-        print(json.dumps(payload, indent=2))
-        return 0
+def _cmd_store_report(args: argparse.Namespace) -> int:
+    """``store stats|gc|compact``: run the store method, print its report."""
+    command = args.store_command
+    report = getattr(_open_store(args), command)()
+    title = "store " + ("" if command == "stats" else f"{command} ")
+    return _emit(args, report, title + args.cache)
+
+
+def _render_store_verify(args: argparse.Namespace, report: dict) -> None:
     print(
-        format_table(
-            ["field", "value"],
-            [[key, value] for key, value in payload.items()],
-            title=title,
-        )
+        f"checked {report['checked']} entries "
+        f"({report['backend']} layout): {report['ok']} ok, "
+        f"{len(report['corrupt'])} corrupt, "
+        f"{report['quarantined']} quarantined"
     )
-    return 0
-
-
-def _cmd_store_stats(args: argparse.Namespace) -> int:
-    stats = _open_store(args).stats()
-    return _emit_payload(stats, args.json, f"store {args.cache}")
+    for entry in report["corrupt"]:
+        print(f"  corrupt {entry['digest'][:12]}: {entry['error']}")
+    if report["corrupt"] and not args.repair:
+        print("run again with --repair to quarantine them")
 
 
 def _cmd_store_verify(args: argparse.Namespace) -> int:
     report = _open_store(args).verify(repair=args.repair)
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        print(
-            f"checked {report['checked']} entries "
-            f"({report['backend']} layout): {report['ok']} ok, "
-            f"{len(report['corrupt'])} corrupt, "
-            f"{report['quarantined']} quarantined"
-        )
-        for entry in report["corrupt"]:
-            print(f"  corrupt {entry['digest'][:12]}: {entry['error']}")
-        if report["corrupt"] and not args.repair:
-            print("run again with --repair to quarantine them")
+    _emit(args, report, _render_store_verify)
     # Corruption found but left in place is an error condition; a repaired
     # store exits 0 because the bad entries can no longer be served.
     return 4 if report["corrupt"] and not args.repair else 0
-
-
-def _cmd_store_gc(args: argparse.Namespace) -> int:
-    report = _open_store(args).gc()
-    return _emit_payload(report, args.json, f"store gc {args.cache}")
-
-
-def _cmd_store_compact(args: argparse.Namespace) -> int:
-    report = _open_store(args).compact()
-    return _emit_payload(report, args.json, f"store compact {args.cache}")
-
-
-def _cmd_store(args: argparse.Namespace) -> int:
-    if args.store_command == "stats":
-        return _cmd_store_stats(args)
-    if args.store_command == "verify":
-        return _cmd_store_verify(args)
-    if args.store_command == "gc":
-        return _cmd_store_gc(args)
-    return _cmd_store_compact(args)
 
 
 def _join_queue(directory):
@@ -1688,28 +1654,27 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         idle_exit=args.idle_exit,
         timeout=args.timeout,
     ).run()
-    return _emit_payload(stats, args.json, f"worker on {args.queue}")
+    return _emit(args, stats, f"worker on {args.queue}")
 
 
-def _cmd_queue(args: argparse.Namespace) -> int:
-    queue = _join_queue(args.queue)
-    if args.queue_command == "status":
-        return _emit_payload(
-            queue.status(), args.json, f"queue {args.queue}"
-        )
-    letters = queue.dead_letters()
-    if args.json:
-        print(json.dumps(letters, indent=2))
-        return 0
+def _cmd_queue_status(args: argparse.Namespace) -> int:
+    status = _join_queue(args.queue).status()
+    return _emit(args, status, f"queue {args.queue}")
+
+
+def _render_dead_letters(args: argparse.Namespace, letters: dict) -> None:
     if not letters:
         print("no dead-lettered tasks")
-        return 0
     for digest, letter in letters.items():
         errors = letter.get("errors") or []
         print(f"{digest[:12]} after {letter.get('attempts')} attempts:")
         if errors:
             print("  " + errors[-1].strip().replace("\n", "\n  "))
-    return 0
+
+
+def _cmd_queue_dead(args: argparse.Namespace) -> int:
+    letters = _join_queue(args.queue).dead_letters()
+    return _emit(args, letters, _render_dead_letters)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -1747,6 +1712,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _render_catalog(args: argparse.Namespace, catalog: dict) -> None:
+    width = max(len(name) for name in catalog)
+    for name, values in catalog.items():
+        print(f"{name + ':':<{width + 1}} " + ", ".join(values))
+
+
 def _cmd_list(args: argparse.Namespace) -> int:
     from repro.fleet import placement_names, qos_names
 
@@ -1760,52 +1731,16 @@ def _cmd_list(args: argparse.Namespace) -> int:
         "qos": list(qos_names()),
         "backends": list(BACKEND_NAMES),
     }
-    if args.json:
-        print(json.dumps(catalog, indent=2))
-        return 0
-    width = max(len(name) for name in catalog)
-    for name, values in catalog.items():
-        print(f"{name + ':':<{width + 1}} " + ", ".join(values))
-    return 0
+    return _emit(args, catalog, _render_catalog)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "compare":
-            return _cmd_compare(args)
-        if args.command == "figure":
-            return _cmd_figure(args)
-        if args.command == "matrix":
-            return _cmd_matrix(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
-        if args.command == "trace":
-            return _cmd_trace(args)
-        if args.command == "faults":
-            return _cmd_faults(args)
-        if args.command == "ftl":
-            return _cmd_ftl(args)
-        if args.command == "fleet":
-            return _cmd_fleet(args)
-        if args.command == "qos":
-            return _cmd_qos(args)
-        if args.command == "store":
-            return _cmd_store(args)
-        if args.command == "worker":
-            return _cmd_worker(args)
-        if args.command == "queue":
-            return _cmd_queue(args)
-        if args.command == "serve":
-            return _cmd_serve(args)
-        if args.command == "list":
-            return _cmd_list(args)
+        return args.handler(args)
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    return 1  # pragma: no cover - argparse enforces choices
 
 
 if __name__ == "__main__":  # pragma: no cover

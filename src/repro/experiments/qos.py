@@ -45,6 +45,7 @@ from repro.fleet.qos import canonical_qos
 from repro.fleet.run import merge_tenant_payloads, roll_up
 from repro.fleet.spec import FleetSpec, make_fleet_spec
 from repro.sim.stats import LatencyRecorder
+from repro.workloads.mixes import mix_names
 
 #: Offered-load multipliers of the adversarial tenant (1 = fair share).
 DEFAULT_BURST_LEVELS = (1, 2, 4, 8)
@@ -98,11 +99,13 @@ def fair_share_rate(
     ``scale.target_pressure``: the replay clock overcommits the device by
     that factor by design, so the nominal rate is *not* sustainable --
     capacity is ``nominal / pressure``, and each tenant's fair share of
-    it is what a token bucket should meter.  Plain (non-mix) workloads
-    only, matching the isolation sweep.
+    it is what a token bucket should meter.  A Table 3 mix name
+    materializes the mix, whose replay clock targets
+    ``scale.mix_target_pressure`` instead.
     """
     config = build_config(preset, scale)
-    trace = trace_for(workload, config, scale)
+    mix = workload in mix_names()
+    trace = trace_for(workload, config, scale, mix=mix)
     requests = trace.requests
     if len(requests) < 2:
         raise ConfigurationError(
@@ -115,7 +118,8 @@ def fair_share_rate(
             f"workload {workload!r} has a degenerate arrival span"
         )
     nominal = (len(requests) - 1) * NS_PER_S / span_ns
-    return nominal / scale.target_pressure
+    pressure = scale.mix_target_pressure if mix else scale.target_pressure
+    return nominal / pressure
 
 
 def suggest_token_bucket(

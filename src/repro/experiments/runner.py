@@ -117,7 +117,6 @@ def suite_specs(
     scale: ExperimentScale,
     designs: Sequence[DesignKind] = ALL_DESIGNS,
     *,
-    mix: bool = False,
     with_cdf: bool = False,
     geometry: Optional[Sequence[int]] = None,
     **device_kwargs: Scalar,
@@ -128,7 +127,6 @@ def suite_specs(
         (workload,),
         scale,
         designs,
-        mix=mix,
         with_cdf=with_cdf,
         geometry=geometry,
         **device_kwargs,
@@ -141,7 +139,6 @@ def run_suite(
     scale: ExperimentScale,
     designs: Sequence[DesignKind] = ALL_DESIGNS,
     *,
-    mix: bool = False,
     with_cdf: bool = False,
     executor=None,
     store=None,
@@ -158,7 +155,6 @@ def run_suite(
         workload,
         scale,
         designs,
-        mix=mix,
         with_cdf=with_cdf,
         **device_kwargs,
     )

@@ -39,7 +39,7 @@ from repro.ssd.device import SsdDevice
 from repro.ssd.factory import supports_geometry
 from repro.workloads.catalog import generate_workload
 from repro.workloads.formats import resolve_trace_path, trace_digest, trace_stem
-from repro.workloads.mixes import generate_mix
+from repro.workloads.mixes import generate_mix, mix_names
 from repro.workloads.replay import TraceWorkload
 from repro.workloads.synthetic import SyntheticGenerator, WorkloadSpec
 from repro.workloads.trace import Trace
@@ -676,7 +676,6 @@ def make_spec(
     workload: str,
     scale: Optional[ExperimentScale] = None,
     *,
-    mix: bool = False,
     with_cdf: bool = False,
     geometry: Optional[Sequence[int]] = None,
     trace: Optional[Union[str, Path]] = None,
@@ -697,6 +696,9 @@ def make_spec(
     Concretely:
 
     * the ``VENICE_EXACT_STATS`` switch is folded into ``device_kwargs``;
+    * a Table 3 mix name (``workload in mix_names()``) makes a mix spec,
+      which synthesises the published mix and never consults
+      ``VENICE_TRACE_DIR`` or accepts a trace file;
     * a workload named ``trace:<path>`` (or an explicit ``trace=`` path)
       is resolved to its canonical content digest, and the spec's workload
       becomes the file's stem;
@@ -720,6 +722,7 @@ def make_spec(
     if "exact_stats" not in device_kwargs and exact_stats_default():
         device_kwargs["exact_stats"] = True
     name = design.value if isinstance(design, DesignKind) else str(design).lower()
+    mix = workload in mix_names()
     if workload.startswith(TRACE_WORKLOAD_PREFIX):
         explicit = workload[len(TRACE_WORKLOAD_PREFIX):]
         if not explicit:
@@ -779,7 +782,6 @@ def matrix_specs(
     scale: ExperimentScale,
     designs: Sequence[DesignKind] = ALL_DESIGNS,
     *,
-    mix: bool = False,
     with_cdf: bool = False,
     geometry: Optional[Sequence[int]] = None,
     faults: Optional[Union[str, FaultSchedule]] = None,
@@ -805,7 +807,6 @@ def matrix_specs(
             preset,
             workload,
             scale,
-            mix=mix,
             with_cdf=with_cdf,
             geometry=geometry,
             faults=faults,

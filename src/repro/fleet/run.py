@@ -280,7 +280,6 @@ def sweep_fleet_specs(
     sample: int = 0,
     qos: str = "",
     burst: str = "",
-    mix: bool = False,
     **device_kwargs,
 ) -> Dict[str, Dict[int, FleetSpec]]:
     """The fleet grid of one sweep: ``{placement: {device_count: spec}}``.
@@ -311,7 +310,6 @@ def sweep_fleet_specs(
                 sample=min(int(sample), count) if sample else 0,
                 qos=qos,
                 burst=burst,
-                mix=mix,
                 **device_kwargs,
             )
             for count in counts
@@ -332,7 +330,6 @@ def run_fleet_sweep(
     sample: int = 0,
     qos: str = "",
     burst: str = "",
-    mix: bool = False,
     executor=None,
     store=None,
     **device_kwargs,
@@ -359,7 +356,6 @@ def run_fleet_sweep(
         sample=sample,
         qos=qos,
         burst=burst,
-        mix=mix,
         **device_kwargs,
     )
     all_specs = [

@@ -204,7 +204,6 @@ def make_fleet_spec(
     sample: int = 0,
     qos: str = "",
     burst: str = "",
-    mix: bool = False,
     trace: Optional[str] = None,
     trace_options: Optional[Mapping[str, Scalar]] = None,
     faults: Union[
@@ -290,7 +289,6 @@ def make_fleet_spec(
             preset,
             workload,
             scale,
-            mix=mix,
             trace=trace,
             trace_options=trace_options,
             faults=member_faults[index],

@@ -38,7 +38,6 @@ from repro.experiments.runner import ExperimentScale, make_spec
 from repro.experiments.spec import RunSpec, canonical_digest
 from repro.fleet.spec import FleetSpec
 from repro.ssd.factory import design_names
-from repro.workloads.mixes import mix_names
 
 #: Payload kinds the service accepts.
 JOB_KINDS = ("run", "sweep", "fleet")
@@ -180,7 +179,6 @@ def _run_job(
         preset,
         workload,
         scale,
-        mix=workload in mix_names(),
         **knobs,
     )
     return Job(
@@ -206,7 +204,6 @@ def _sweep_job(
             preset,
             workload,
             scale,
-            mix=workload in mix_names(),
             **knobs,
         )
         for workload in workloads
@@ -260,7 +257,6 @@ def _fleet_job(
         sample=_int_field(payload, "sample", 0, 0),
         qos=_str_field(payload, "qos", "") or "",
         burst=_str_field(payload, "burst", "") or "",
-        mix=workload in mix_names(),
         faults=[knobs["faults"]] * (len(explicit) if explicit else devices)
         if knobs["faults"]
         else None,

@@ -29,7 +29,6 @@ def test_digest_survives_dict_round_trip():
         "performance-optimized",
         "mix1",
         SCALE,
-        mix=True,
         with_cdf=True,
         geometry=(4, 16),
         enable_gc=False,
@@ -150,3 +149,8 @@ def test_make_spec_accepts_amortization_objects():
     )
     assert from_objects == from_strings
     assert from_objects.digest == from_strings.digest
+
+
+def test_mix_is_derived_from_the_workload_name():
+    assert make_spec("venice", "performance-optimized", "mix1", SCALE).mix
+    assert not make_spec("venice", "performance-optimized", "hm_0", SCALE).mix

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.cli import main
 
 
@@ -157,3 +159,23 @@ def test_fleet_sweep_sample_flag(capsys):
     assert payload["sample"] == 2
     assert payload["curve"]["round-robin"]["4"]["sample"][
         "devices_simulated"] == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["fleet", "run", "--devices", "2"],
+    ["fleet", "sweep", "--devices", "1", "2"],
+])
+def test_fleet_rejects_negative_sample(command, capsys):
+    code = main(command + ["--sample", "-2", "--requests", "48"])
+    assert code == 2
+    assert "sample must be" in capsys.readouterr().err
+
+
+def test_fleet_run_clamps_sample_to_fleet_size(capsys):
+    # K >= devices clamps to the fleet size, which simulates every member.
+    code = main([
+        "fleet", "run", "--devices", "2", "--sample", "5",
+        "--requests", "48", "--tenants", "2", "--json",
+    ])
+    assert code == 0
+    assert "sample" not in json.loads(capsys.readouterr().out)

@@ -59,3 +59,13 @@ def test_run_knob_flags_default_to_no_op(capsys):
     assert main(["run", "--requests", "100", "--json"]) == 0
     again = json.loads(capsys.readouterr().out)
     assert plain == again
+
+
+def test_ftl_sweep_accepts_mix_names(capsys):
+    """A Table 3 mix name makes mix specs through ``make_spec``."""
+    code = main([
+        "ftl", "sweep", "--workload", "mix1", "--requests", "60",
+        "--fills", "0.5", "--op", "0.07", "--fill", "0.5", "--json",
+    ])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["workload"] == "mix1"

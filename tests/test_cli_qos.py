@@ -72,3 +72,16 @@ def test_list_shows_qos_policy_grammar(capsys):
     assert main(["list", "--json"]) == 0
     catalog = json.loads(capsys.readouterr().out)
     assert "none" in catalog["qos"]
+
+
+def test_qos_sweep_accepts_mix_names(capsys):
+    """Default policies included: the token bucket calibrates on the mix."""
+    code = main([
+        "qos", "sweep", "--workload", "mix1", "--requests", "60",
+        "--designs", "venice", "--placements", "round-robin",
+        "--levels", "1", "2", "--json",
+    ])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["workload"] == "mix1"
+    assert payload["policies"]["token-bucket"].startswith("token-bucket:")
