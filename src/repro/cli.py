@@ -92,7 +92,7 @@ from repro.config.presets import PRESET_NAMES
 from repro.config.ssd_config import DesignKind
 from repro.errors import ConfigurationError, ReproError
 from repro.experiments import figures
-from repro.experiments.executor import execute_specs, make_executor
+from repro.experiments.executor import Executor, execute_specs
 from repro.experiments.reporting import format_table, speedup_table
 from repro.experiments.runner import ExperimentScale, make_spec, run_suite
 from repro.experiments.spec import TRACE_WORKLOAD_PREFIX
@@ -869,7 +869,7 @@ def _orchestration(args: argparse.Namespace) -> Dict[str, object]:
         # warm re-run enqueues nothing that is already computed.
         return {"executor": executor, "store": executor.worker.store}
     return {
-        "executor": make_executor(args.jobs, args.timeout),
+        "executor": Executor(args.jobs, args.timeout),
         "store": _store(args),
     }
 

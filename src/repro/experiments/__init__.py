@@ -4,8 +4,10 @@ The orchestration stack, bottom-up:
 
 * :mod:`repro.experiments.spec` -- :class:`RunSpec`, the canonical hashable
   description of one simulation run, plus config/trace materialization;
-* :mod:`repro.experiments.executor` -- serial and multiprocessing backends
-  that execute spec sets (rebuilding everything inside each worker);
+* :mod:`repro.experiments.executor` -- :class:`Executor`, which runs spec
+  sets in-process or over worker processes (rebuilding everything inside
+  each worker), and :func:`execute_specs`, the cached, deduplicating
+  entry point;
 * :mod:`repro.experiments.store` -- the content-addressed JSON result store
   keyed by spec digest (flat / sharded / SQLite layouts), so repeated
   invocations reuse prior runs;
@@ -20,12 +22,7 @@ reporting helpers render as text tables; the benchmark suite calls the same
 functions at reduced scale.
 """
 
-from repro.experiments.executor import (
-    ParallelExecutor,
-    SerialExecutor,
-    execute_specs,
-    make_executor,
-)
+from repro.experiments.executor import Executor, execute_specs
 from repro.experiments.figures import (
     FIGURE_NAMES,
     FIGURES,
@@ -62,15 +59,14 @@ from repro.experiments.worker import QueueExecutor, QueueWorker
 
 __all__ = [
     "BACKEND_NAMES",
+    "Executor",
     "ExperimentScale",
     "FIGURE_NAMES",
     "FIGURES",
-    "ParallelExecutor",
     "QueueExecutor",
     "QueueWorker",
     "ResultStore",
     "RunSpec",
-    "SerialExecutor",
     "StoreBackend",
     "Task",
     "TimelineExample",
@@ -89,7 +85,6 @@ __all__ = [
     "format_table",
     "geometric_mean",
     "make_device",
-    "make_executor",
     "make_spec",
     "matrix_specs",
     "run_all_figures",

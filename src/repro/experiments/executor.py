@@ -1,16 +1,17 @@
-"""Executor backends: run sets of :class:`RunSpec`\\ s serially or in parallel.
+"""The executor: run sets of :class:`RunSpec`\\ s in-process or in parallel.
 
 The (design x preset x workload) matrix is embarrassingly parallel -- every
-run builds a fresh single-use :class:`~repro.ssd.device.SsdDevice` -- so the
-parallel backend simply ships specs to worker processes, each of which
-rebuilds the config and trace from the spec and simulates.  Both backends
-produce bit-identical :class:`RunResult`\\ s for the same specs because the
-simulation is fully seeded by the spec itself.
+run builds a fresh single-use :class:`~repro.ssd.device.SsdDevice` -- so
+:class:`Executor` with ``jobs > 1`` simply ships specs to worker
+processes, each of which rebuilds the config and trace from the spec and
+simulates.  Every mode produces bit-identical :class:`RunResult`\\ s for
+the same specs because the simulation is fully seeded by the spec itself.
 
-:func:`execute_specs` is the orchestration entry point figures and the CLI
-use: it deduplicates specs, satisfies what it can from an optional
-:class:`~repro.experiments.store.ResultStore`, executes only the misses, and
-records fresh results back into the store.
+:func:`execute_specs` is the orchestration entry point figures, the CLI
+and the service use: it deduplicates specs, satisfies what it can from an
+optional :class:`~repro.experiments.store.ResultStore`, executes only the
+misses, and records each fresh result in the store as soon as it
+finishes -- an interrupted batch keeps every cell it completed.
 
 Two robustness layers harden long sweeps:
 
@@ -33,15 +34,15 @@ from __future__ import annotations
 
 import multiprocessing
 import multiprocessing.connection
-import os
 import sys
 import time
 import traceback
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from typing import (
     TYPE_CHECKING,
+    Callable,
     Dict,
     List,
     Optional,
@@ -56,6 +57,14 @@ from repro.sim.checkpoint import CheckpointStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.experiments.store import ResultStore
+    from repro.experiments.worker import QueueExecutor
+
+#: ``on_result(spec, result)``: called in the parent as each spec finishes.
+OnResult = Callable[[RunSpec, RunResult], object]
+
+
+def _discard(spec: RunSpec, result: RunResult) -> None:
+    """The default ``on_result``: nothing to persist."""
 
 
 def execute_spec(
@@ -145,7 +154,7 @@ def execute_spec_isolated(
     ``timeout`` / ``crash`` / ``exception``.
     """
     results, failures = _run_isolated(
-        [spec], checkpoint_ref(checkpoints), jobs=1, timeout=timeout
+        [spec], checkpoint_ref(checkpoints), 1, timeout, _discard
     )
     if failures:
         raise failures[0]
@@ -157,6 +166,7 @@ def _run_isolated(
     ref: object,
     jobs: int,
     timeout: Optional[float],
+    on_result: OnResult,
 ) -> Tuple[List[Optional[RunResult]], List[SpecRunError]]:
     """Run each spec in its own subprocess, at most ``jobs`` at a time.
 
@@ -203,6 +213,7 @@ def _run_isolated(
                     status, payload = outcome
                     if status == "ok":
                         results[index] = payload
+                        on_result(spec, payload)
                     else:
                         failures.append(
                             SpecRunError(
@@ -244,17 +255,25 @@ def _run_isolated(
     return results, failures
 
 
-class SerialExecutor:
-    """Run specs one after another in the calling process.
+class Executor:
+    """Run spec batches in-process, over a process pool, or isolated.
 
-    With a ``timeout``, each spec instead runs in its own killable
-    subprocess (see :func:`execute_spec_isolated`) so one hung simulation
-    cannot stall the batch.
+    ``jobs=1`` runs specs one after another in the calling process;
+    ``jobs>1`` fans them out over a process pool.  A worker process dying
+    mid-spec (OOM kill, segfault) breaks the shared pool; instead of
+    surfacing the opaque ``BrokenProcessPool``, the unfinished specs are
+    retried in isolated single-spec subprocesses so every healthy spec
+    still completes and the offending spec's digest is reported.  A
+    ``timeout`` runs each spec in its own killable subprocess outright (a
+    shared pool cannot kill one hung member), at most ``jobs`` at a time.
     """
 
-    jobs = 1
-
-    def __init__(self, timeout: Optional[float] = None) -> None:
+    def __init__(self, jobs: int = 1, timeout: Optional[float] = None) -> None:
+        if jobs < 1:
+            raise ConfigurationError(f"--jobs must be >= 1, got {jobs}")
+        if timeout is not None and timeout <= 0:
+            raise ConfigurationError(f"--timeout must be > 0, got {timeout}")
+        self.jobs = jobs
         self.timeout = timeout
         self.runs_completed = 0
 
@@ -262,69 +281,31 @@ class SerialExecutor:
         self,
         specs: Sequence[RunSpec],
         checkpoints: Optional[CheckpointStore] = None,
+        on_result: Optional[OnResult] = None,
     ) -> Tuple[List[Optional[RunResult]], List[SpecRunError]]:
-        """Like :meth:`run`, but collect per-spec failures instead of
-        raising on the first one."""
-        if self.timeout is not None:
-            results, failures = _run_isolated(
-                specs, checkpoint_ref(checkpoints), 1, self.timeout
-            )
-        else:
-            results = [execute_spec(spec, checkpoints) for spec in specs]
-            failures = []
-        self.runs_completed += sum(1 for r in results if r is not None)
-        return results, failures
+        """Run ``specs``; results in spec order (``None`` where failed).
 
-    def run(
-        self,
-        specs: Sequence[RunSpec],
-        checkpoints: Optional[CheckpointStore] = None,
-    ) -> List[RunResult]:
-        results, failures = self.run_detailed(specs, checkpoints)
-        if failures:
-            raise ExecutionError(failures)
-        return results
-
-
-class ParallelExecutor:
-    """Fan specs out over a process pool; results come back in spec order.
-
-    A worker process dying mid-spec (OOM kill, segfault) breaks the shared
-    pool; instead of surfacing the opaque ``BrokenProcessPool``, the
-    unfinished specs are retried in isolated single-spec subprocesses so
-    every healthy spec still completes and the offending spec's digest is
-    reported.  A ``timeout`` switches to isolated subprocesses outright
-    (a shared pool cannot kill one hung member).
-    """
-
-    def __init__(
-        self, jobs: Optional[int] = None, timeout: Optional[float] = None
-    ) -> None:
-        if jobs is not None and jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = jobs or os.cpu_count() or 1
-        self.timeout = timeout
-        self.runs_completed = 0
-
-    def run_detailed(
-        self,
-        specs: Sequence[RunSpec],
-        checkpoints: Optional[CheckpointStore] = None,
-    ) -> Tuple[List[Optional[RunResult]], List[SpecRunError]]:
-        """Pool execution with crash containment and optional timeouts."""
-        if not specs:
-            return [], []
-        ref = checkpoint_ref(checkpoints)
+        ``on_result(spec, result)`` is called in this process as each spec
+        finishes, so a caller can persist progress before the batch ends.
+        Per-spec timeouts and crashes are collected as failures instead of
+        raised.
+        """
+        on_result = on_result or _discard
         workers = min(self.jobs, len(specs))
         failures: List[SpecRunError] = []
         if self.timeout is not None:
             results, failures = _run_isolated(
-                specs, ref, workers, self.timeout
+                specs, checkpoint_ref(checkpoints), workers, self.timeout,
+                on_result,
             )
         elif workers <= 1:
-            results = [execute_spec(spec, checkpoints) for spec in specs]
+            results = []
+            for spec in specs:
+                results.append(execute_spec(spec, checkpoints))
+                on_result(spec, results[-1])
         else:
-            results = self._run_pool(specs, ref, workers)
+            ref = checkpoint_ref(checkpoints)
+            results = _run_pool(specs, ref, workers, on_result)
             unfinished = [
                 index for index, result in enumerate(results)
                 if result is None
@@ -338,72 +319,48 @@ class ParallelExecutor:
                     ref,
                     workers,
                     None,
+                    on_result,
                 )
                 for index, result in zip(unfinished, retried):
                     results[index] = result
         self.runs_completed += sum(1 for r in results if r is not None)
         return results, failures
 
-    def _run_pool(
-        self, specs: Sequence[RunSpec], ref: object, workers: int
-    ) -> List[Optional[RunResult]]:
-        """One shared pool pass; ``None`` marks specs lost to pool breakage."""
-        results: List[Optional[RunResult]] = [None] * len(specs)
-        with ProcessPoolExecutor(
-            max_workers=workers, mp_context=_worker_context()
-        ) as pool:
-            futures = [
-                pool.submit(_execute_packed, (spec, ref)) for spec in specs
-            ]
-            for index, future in enumerate(futures):
-                try:
-                    results[index] = future.result()
-                except BrokenProcessPool:
-                    # Every later future is doomed too; stop collecting and
-                    # let the isolation pass pick up whatever is missing.
-                    break
-        return results
 
-    def run(
-        self,
-        specs: Sequence[RunSpec],
-        checkpoints: Optional[CheckpointStore] = None,
-    ) -> List[RunResult]:
-        results, failures = self.run_detailed(specs, checkpoints)
-        if failures:
-            raise ExecutionError(failures)
-        return results
-
-
-def make_executor(
-    jobs: Optional[int], timeout: Optional[float] = None
-) -> "SerialExecutor | ParallelExecutor":
-    """``--jobs N`` semantics: 1/None stay serial, N>1 goes parallel.
-
-    ``timeout`` is the per-spec wall-clock limit in seconds (``--timeout``);
-    ``None`` means unbounded.
-    """
-    if jobs is not None and jobs < 1:
-        raise ConfigurationError(f"--jobs must be >= 1, got {jobs}")
-    if timeout is not None and timeout <= 0:
-        raise ConfigurationError(f"--timeout must be > 0, got {timeout}")
-    if jobs and jobs > 1:
-        return ParallelExecutor(jobs, timeout=timeout)
-    return SerialExecutor(timeout=timeout)
+def _run_pool(
+    specs: Sequence[RunSpec], ref: object, workers: int, on_result: OnResult
+) -> List[Optional[RunResult]]:
+    """One shared pool pass; ``None`` marks specs lost to pool breakage."""
+    results: List[Optional[RunResult]] = [None] * len(specs)
+    with ProcessPoolExecutor(
+        max_workers=workers, mp_context=_worker_context()
+    ) as pool:
+        futures = {
+            pool.submit(_execute_packed, (spec, ref)): index
+            for index, spec in enumerate(specs)
+        }
+        for future in as_completed(futures):
+            try:
+                result = future.result()
+            except BrokenProcessPool:
+                # Left as ``None`` for the isolation pass to pick up.
+                continue
+            index = futures[future]
+            results[index] = result
+            on_result(specs[index], result)
+    return results
 
 
 def _prepare_checkpoints(
-    specs: Sequence[RunSpec],
-    checkpoints: CheckpointStore,
-    executor: "SerialExecutor | ParallelExecutor",
+    specs: Sequence[RunSpec], checkpoints: CheckpointStore, jobs: int
 ) -> int:
     """Compute every missing warm-up checkpoint the specs need, in parent.
 
     Deduplicates by checkpoint digest (a whole matrix slice typically needs
     one checkpoint per design) and fans the warm-up simulations out over a
-    process pool when the executor is parallel.  Returns the number of
-    warm-up simulations performed; after this pre-pass, worker processes
-    only ever read the store.
+    process pool when ``jobs > 1``.  Returns the number of warm-up
+    simulations performed; after this pre-pass, worker processes only ever
+    read the store.
     """
     pending: Dict[str, RunSpec] = {}
     for spec in specs:
@@ -413,7 +370,6 @@ def _prepare_checkpoints(
     if not pending:
         return 0
     targets = list(pending.values())
-    jobs = getattr(executor, "jobs", 1)
     if jobs > 1 and len(targets) > 1:
         with ProcessPoolExecutor(
             max_workers=min(jobs, len(targets)), mp_context=_worker_context()
@@ -430,23 +386,25 @@ def _prepare_checkpoints(
 def execute_specs(
     specs: Sequence[RunSpec],
     *,
-    executor: Optional["SerialExecutor | ParallelExecutor"] = None,
+    executor: Optional["Executor | QueueExecutor"] = None,
     store: Optional["ResultStore"] = None,
     checkpoints: Optional[CheckpointStore] = None,
 ) -> Dict[RunSpec, RunResult]:
     """Execute a spec set with deduplication and store-backed caching.
 
     Duplicate specs (figures sharing matrix slices) simulate once.  With a
-    store, previously-computed results are served from cache and new results
-    are persisted, so a repeat invocation performs zero simulations.
+    store, previously-computed results are served from cache and each new
+    result is persisted the moment it finishes, so a repeat invocation
+    performs zero simulations and an interrupted one keeps every cell it
+    completed.
 
     Specs that declare a warm-up phase share device checkpoints through
     ``checkpoints``; when none is supplied one is created automatically --
-    disk-backed under ``<store>/checkpoints`` when a result store is in
-    play (so warm-ups persist like results do), memory-only otherwise.
-    Missing checkpoints are computed in a deduplicated pre-pass before
-    the executor fans out, so N matrix cells of one design cost one
-    warm-up simulation, not N.
+    disk-backed under :attr:`ResultStore.checkpoint_dir` when a result
+    store is in play (so warm-ups persist like results do), memory-only
+    otherwise.  Missing checkpoints are computed in a deduplicated
+    pre-pass before the executor fans out, so N matrix cells of one design
+    cost one warm-up simulation, not N.
 
     Per-spec failures (a hung spec killed by the executor's ``timeout``, a
     spec that crashes its worker process) are collected, every *other* spec
@@ -454,7 +412,7 @@ def execute_specs(
     :class:`~repro.errors.ExecutionError` naming the failed digests is
     raised at the end -- a single bad cell costs one cell, not the sweep.
     """
-    executor = executor or SerialExecutor()
+    executor = executor or Executor()
     unique = list(dict.fromkeys(specs))  # order-preserving dedup (hashable specs)
     results: Dict[RunSpec, RunResult] = {}
     missing: List[RunSpec] = []
@@ -474,24 +432,15 @@ def execute_specs(
     if needs_warmup:
         if checkpoints is None:
             checkpoints = CheckpointStore(
-                store.directory / "checkpoints" if store is not None else None
+                store.checkpoint_dir if store is not None else None
             )
-        _prepare_checkpoints(needs_warmup, checkpoints, executor)
-    failures: List[SpecRunError] = []
-    if hasattr(executor, "run_detailed"):
-        run_results, failures = executor.run_detailed(missing, checkpoints)
-    elif checkpoints is not None:
-        run_results = executor.run(missing, checkpoints)
-    else:
-        # Keep the legacy single-argument call for custom executor
-        # implementations that predate checkpoint support.
-        run_results = executor.run(missing)
+        _prepare_checkpoints(needs_warmup, checkpoints, executor.jobs)
+    run_results, failures = executor.run_detailed(
+        missing, checkpoints, store.put if store is not None else None
+    )
     for spec, result in zip(missing, run_results):
-        if result is None:
-            continue  # failed spec: reported via ExecutionError below
-        if store is not None:
-            store.put(spec, result)
-        results[spec] = result
+        if result is not None:  # failed specs: reported via ExecutionError
+            results[spec] = result
     if failures:
         raise ExecutionError(failures)
     return results

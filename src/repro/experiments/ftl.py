@@ -266,7 +266,7 @@ def run_ftl_sweep(
     ]
     if checkpoints is None:
         checkpoints = CheckpointStore(
-            store.directory / "checkpoints" if store is not None else None
+            store.checkpoint_dir if store is not None else None
         )
     results = execute_specs(
         all_specs, executor=executor, store=store, checkpoints=checkpoints

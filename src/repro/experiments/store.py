@@ -471,6 +471,11 @@ class ResultStore:
         """The active layout's canonical name."""
         return self.backend.name
 
+    @property
+    def checkpoint_dir(self) -> Path:
+        """Where the warm-up device checkpoints of this store's runs live."""
+        return self.directory / "checkpoints"
+
     def path_for(self, spec: RunSpec) -> Path:
         """Filesystem path of a spec's entry (file backends only).
 
@@ -634,15 +639,14 @@ class ResultStore:
         """Observability snapshot: on-disk contents plus session counters.
 
         Reports entry counts and byte totals (device checkpoints live
-        under ``checkpoints/``, written by
+        under :attr:`checkpoint_dir`, written by
         :class:`~repro.sim.checkpoint.CheckpointStore` when warm-up
         amortization is on) alongside this process's hit/miss/write
         counters.
         """
-        checkpoint_dir = self.directory / "checkpoints"
         checkpoint_files = (
-            sorted(checkpoint_dir.glob("*.json"))
-            if checkpoint_dir.is_dir()
+            sorted(self.checkpoint_dir.glob("*.json"))
+            if self.checkpoint_dir.is_dir()
             else []
         )
         return {

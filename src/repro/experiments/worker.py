@@ -27,7 +27,11 @@ import traceback
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import QueueError, SimulationError, SpecRunError
-from repro.experiments.executor import execute_spec, execute_spec_isolated
+from repro.experiments.executor import (
+    OnResult,
+    execute_spec,
+    execute_spec_isolated,
+)
 from repro.experiments.queue import Task, WorkQueue, default_owner_id
 from repro.experiments.spec import RunSpec
 from repro.metrics.collector import RunResult
@@ -104,7 +108,7 @@ class QueueWorker:
             return None
         # Disk-backed under the shared result store, so every worker (and
         # the sweep front end's pre-pass) shares one warm-up per design.
-        return CheckpointStore(self.store.directory / "checkpoints")
+        return CheckpointStore(self.store.checkpoint_dir)
 
     def _execute(self, task: Task) -> RunResult:
         checkpoints = self._checkpoints_for(task.spec)
@@ -198,17 +202,16 @@ class QueueWorker:
 class QueueExecutor:
     """Executor backend that runs a spec batch through a work queue.
 
-    Drop-in for :class:`~repro.experiments.executor.SerialExecutor` inside
-    :func:`~repro.experiments.executor.execute_specs`: ``run`` enqueues
-    every spec, participates in draining the queue (claim -- execute --
-    complete, exactly like an external worker), and polls until each spec
-    is done or dead-lettered.  External ``venice-sim worker`` processes
-    sharing the directory speed the batch up and are interchangeable with
-    the in-process participant.
+    Drop-in for :class:`~repro.experiments.executor.Executor` inside
+    :func:`~repro.experiments.executor.execute_specs`: ``run_detailed``
+    enqueues every spec, participates in draining the queue (claim --
+    execute -- complete, exactly like an external worker), and polls until
+    each spec is done or dead-lettered.  External ``venice-sim worker``
+    processes sharing the directory speed the batch up and are
+    interchangeable with the in-process participant.
 
-    Dead-lettered specs raise :class:`~repro.errors.ExecutionError` via
-    ``run`` (after everything else finished); ``run_detailed`` reports
-    them as failures, so sweeps degrade gracefully instead of hanging.
+    Dead-lettered specs are reported as failures, so sweeps degrade
+    gracefully instead of hanging.
     """
 
     jobs = 1
@@ -218,25 +221,27 @@ class QueueExecutor:
         queue: WorkQueue,
         *,
         owner: Optional[str] = None,
-        participate: bool = True,
         poll_interval: float = 0.2,
         timeout: Optional[float] = None,
     ) -> None:
         self.queue = queue
-        self.participate = participate
-        self.timeout = timeout
         self.poll_interval = poll_interval
         self.worker = QueueWorker(
             queue, owner=owner, timeout=timeout, poll_interval=poll_interval
         )
-        self.runs_completed = 0
 
     def run_detailed(
         self,
         specs: Sequence[RunSpec],
         checkpoints: Optional[CheckpointStore] = None,
+        on_result: Optional[OnResult] = None,
     ) -> Tuple[List[Optional[RunResult]], List[SpecRunError]]:
-        """Enqueue-and-wait; failures are the batch's dead-lettered specs."""
+        """Enqueue-and-wait; failures are the batch's dead-lettered specs.
+
+        Each task's result is durable in the queue's bound store the
+        moment the task completes; ``on_result`` sees it once the batch
+        has drained.
+        """
         by_digest = {spec.digest: spec for spec in specs}
         self.queue.enqueue_specs(list(specs))
         while not self.queue.drained(list(by_digest)):
@@ -250,7 +255,6 @@ class QueueExecutor:
         dead = self.queue.dead_letters()
         results: List[Optional[RunResult]] = []
         failures: List[SpecRunError] = []
-        completed = 0
         for spec in specs:
             if spec.digest in dead:
                 letter = dead[spec.digest]
@@ -273,19 +277,7 @@ class QueueExecutor:
                     f"is missing from {store.directory}; run "
                     "`venice-sim store verify --repair` and re-run the sweep"
                 )
+            if on_result is not None:
+                on_result(spec, result)
             results.append(result)
-            completed += 1
-        self.runs_completed += completed
         return results, failures
-
-    def run(
-        self,
-        specs: Sequence[RunSpec],
-        checkpoints: Optional[CheckpointStore] = None,
-    ) -> List[RunResult]:
-        from repro.errors import ExecutionError
-
-        results, failures = self.run_detailed(specs, checkpoints)
-        if failures:
-            raise ExecutionError(failures)
-        return results

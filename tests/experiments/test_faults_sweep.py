@@ -4,7 +4,7 @@ import pytest
 
 from repro.config.ssd_config import DesignKind
 from repro.errors import ConfigurationError
-from repro.experiments.executor import SerialExecutor, execute_specs
+from repro.experiments.executor import Executor, execute_specs
 from repro.experiments.faults import (
     DEFAULT_LINK_COUNTS,
     SWEEP_DESIGNS,
@@ -138,14 +138,14 @@ def test_sweep_venice_survives_where_bus_and_nossd_stall():
 
 def test_sweep_is_cache_replayable(tmp_path):
     store = ResultStore(tmp_path / "store")
-    executor = SerialExecutor()
+    executor = Executor()
     first = run_faults_sweep(
         workload="hm_0", scale=SCALE, link_counts=(0, 2),
         executor=executor, store=store,
     )
     simulated = executor.runs_completed
     assert simulated == 2 * len(SWEEP_DESIGNS)
-    warm_executor = SerialExecutor()
+    warm_executor = Executor()
     second = run_faults_sweep(
         workload="hm_0", scale=SCALE, link_counts=(0, 2),
         executor=warm_executor, store=ResultStore(tmp_path / "store"),

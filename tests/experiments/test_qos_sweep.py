@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.executor import SerialExecutor
+from repro.experiments.executor import Executor
 from repro.experiments.qos import (
     DEFAULT_BUCKET_BURST,
     default_policies,
@@ -34,7 +34,7 @@ def _policies():
 def sweep(tmp_path_factory):
     """One cold sweep, shared by the curve assertions below."""
     store_dir = tmp_path_factory.mktemp("qos-sweep") / "store"
-    executor = SerialExecutor()
+    executor = Executor()
     payload = run_qos_sweep(
         scale=SCALE,
         levels=LEVELS,
@@ -88,7 +88,7 @@ def test_fair_share_token_bucket_bounds_the_victim_curve(sweep):
 
 def test_warm_rerun_simulates_nothing_and_is_byte_identical(sweep):
     payload, _, store_dir = sweep
-    warm_executor = SerialExecutor()
+    warm_executor = Executor()
     warm = run_qos_sweep(
         scale=SCALE,
         levels=LEVELS,

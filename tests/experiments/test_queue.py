@@ -7,7 +7,7 @@ import time
 import pytest
 
 from repro.errors import ExecutionError, QueueError, SpecRunError
-from repro.experiments.executor import SerialExecutor, execute_spec, execute_specs
+from repro.experiments.executor import Executor, execute_spec, execute_specs
 from repro.experiments.queue import WorkQueue, default_owner_id
 from repro.experiments.spec import make_spec
 from repro.experiments.store import BACKEND_NAMES
@@ -247,7 +247,7 @@ def test_worker_dead_letters_a_spec_that_keeps_failing(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("backend", BACKEND_NAMES)
 def test_queued_sweep_matches_serial_execution(tmp_path, backend):
-    serial = execute_specs(SPECS, executor=SerialExecutor())
+    serial = execute_specs(SPECS, executor=Executor())
     queue = make_queue(tmp_path, store_backend=backend)
     executor = QueueExecutor(queue)
     queued = execute_specs(SPECS, executor=executor, store=executor.worker.store)
@@ -371,13 +371,3 @@ def test_queue_executor_flags_a_done_task_with_a_missing_result(tmp_path):
     queue.complete(queue.claim("amnesiac"))  # done, but nothing was stored
     with pytest.raises(QueueError, match="store verify"):
         QueueExecutor(queue).run_detailed([SPECS[0]])
-
-
-def test_queue_executor_run_raises_on_dead_letters(tmp_path, monkeypatch):
-    queue = make_queue(tmp_path, max_attempts=1, retry_delay=0.0)
-    monkeypatch.setattr(
-        "repro.experiments.worker.execute_spec",
-        lambda *a, **k: (_ for _ in ()).throw(RuntimeError("sim exploded")),
-    )
-    with pytest.raises(ExecutionError):
-        QueueExecutor(queue).run([SPECS[0]])
