@@ -47,8 +47,8 @@ def bench_store(tmp_path_factory):
     only its marginal (non-shared) runs plus the pure reduction.
 
     Set ``VENICE_BENCH_STORE=/path/to/dir`` to pin the store to a
-    persistent directory: CI caches it between workflow runs and local
-    re-runs start warm, so unchanged spec digests simulate nothing.
+    persistent directory: re-runs then start warm, so unchanged spec
+    digests simulate nothing.
     """
     pinned = os.environ.get("VENICE_BENCH_STORE")
     if pinned:

@@ -7,9 +7,11 @@ Subcommands:
 * ``figure``  -- regenerate a paper figure (fig4, fig9a, fig9b, fig10,
   fig11, fig12, fig13, fig14, fig15, table4),
 * ``matrix``  -- regenerate every figure from one deduplicated spec pass,
-* ``bench``   -- core perf micro-benchmarks, written to ``BENCH_core.json``
-  (``--baseline`` compares against a stored payload and exits 3 on >20%
-  throughput regression),
+* ``bench``   -- the core perf micro-benchmarks (engine, resources,
+  fan-out, end-to-end), written to ``BENCH_core.json``; ``--baseline``
+  gates them against a stored payload and exits 3 on a throughput
+  regression past ``--tolerance`` (default 20%).  The wall-clock
+  benchmark is ``perfbench/run.py`` (docs/benchmarks.md),
 * ``trace``   -- work with real trace files: ``inspect`` (detect format,
   summarize, digest), ``replay`` (run a file on a design, cache-aware),
   ``convert`` (rewrite any supported format as canonical venice CSV),
@@ -333,12 +335,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--quick",
         action="store_true",
         help="reduced sizes for CI smoke runs",
-    )
-    bench.add_argument(
-        "--speedup",
-        action="store_true",
-        help="also measure the fig9a/10/13/14 sweep cost, exact vs "
-        "checkpointed+early-stopped (docs/performance.md)",
     )
     bench.add_argument(
         "--out",
@@ -1064,38 +1060,41 @@ def _render_bench(args: argparse.Namespace, payload: dict) -> None:
     print(f"aggregate req/sec:    {payload['requests_per_sec']:,.1f}")
     if payload["peak_rss_kb"] is not None:
         print(f"peak RSS:             {payload['peak_rss_kb']:,} KiB")
-    sweep = payload.get("sweep_speedup")
-    if sweep:
-        print(
-            f"sweep events exact:   {sweep['exact_events']:,} "
-            f"({sweep['exact_cells']} cells)"
-        )
-        print(
-            f"sweep events opt:     {sweep['optimized_events']:,} "
-            f"({sweep['optimized_cells']} cells, "
-            f"{sweep['early_stopped_cells']} early-stopped, "
-            f"{sweep['warmups_computed']} warm-ups)"
-        )
-        print(f"sweep event speedup:  {sweep['event_speedup']:.2f}x")
     print(f"wrote {args.out}")
+
+
+def _read_bench_baseline(path: str) -> dict:
+    """Load a ``--baseline`` payload that gates at least one metric."""
+    from repro.experiments.bench import gated_metrics
+
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            baseline = json.load(handle)
+    except (OSError, json.JSONDecodeError) as error:
+        raise ConfigurationError(f"cannot read bench baseline {path!r}: {error}")
+    if not isinstance(baseline, dict) or not gated_metrics(baseline):
+        raise ConfigurationError(
+            f"bench baseline {path!r} has no positive events_per_sec or "
+            "requests_per_sec, so it would check nothing"
+        )
+    return baseline
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.experiments.bench import check_regression, run_bench
 
-    payload = run_bench(quick=args.quick, speedup=args.speedup)
+    if not 0.0 <= args.tolerance < 1.0:
+        raise ConfigurationError(
+            f"--tolerance must be in [0, 1), got {args.tolerance!r}"
+        )
+    # Checked before the benchmarks run, so a bad gate fails fast.
+    baseline = _read_bench_baseline(args.baseline) if args.baseline else None
+    payload = run_bench(quick=args.quick)
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")
     _emit(args, payload, _render_bench)
-    if args.baseline:
-        try:
-            with open(args.baseline, "r", encoding="utf-8") as handle:
-                baseline = json.load(handle)
-        except (OSError, json.JSONDecodeError) as error:
-            raise ConfigurationError(
-                f"cannot read bench baseline {args.baseline!r}: {error}"
-            )
+    if baseline is not None:
         failures = check_regression(payload, baseline, tolerance=args.tolerance)
         if failures:
             for failure in failures:

@@ -1,12 +1,14 @@
 """Core performance micro-benchmarks and the ``venice-sim bench`` payload.
 
-Three layers, each isolating one slice of the simulator's hot path:
+Four layers, each isolating one slice of the simulator's hot path:
 
 * **engine** -- raw event throughput of the discrete-event loop (timer
   ping-pong across a handful of processes: heap pushes/pops, micro-queue
   hits, generator resumes),
 * **resources** -- uncontended acquire/release cycles plus a contended
   FIFO handoff mix (the Grant fast path and the event slow path),
+* **fan-out** -- process spawn plus ``AllOf`` join throughput (the
+  per-request fan-out),
 * **end-to-end** -- requests/sec of a small-but-real trace replay per
   design (the figure-generation workload in miniature).
 
@@ -22,7 +24,6 @@ from __future__ import annotations
 import platform
 import sys
 import time
-from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.config.ssd_config import DesignKind
@@ -32,12 +33,12 @@ from repro.sim.resources import Resource
 
 BENCH_SCHEMA_VERSION = 2
 
-#: The sweep-speedup recipe (``venice-sim bench --speedup``).  The sweep is
-#: the fig9a/10/13/14 matrix -- fig9a and fig10 share one 6-design spec
-#: set, fig13 and fig14 the 5-fabric subset -- at a sub-saturation scale
-#: where a steady state exists for the early-stop monitor to detect (the
-#: default figure scale deliberately overloads the device, where latency
-#: has no steady state and the monitor correctly never fires).
+#: The aged recipe of the repository benchmark's ``aged-matrix`` workload
+#: (``perfbench/workloads.py``): the fig9a/10/13/14 matrix at a
+#: sub-saturation scale where a steady state exists for the early-stop
+#: monitor to detect (the default figure scale deliberately overloads the
+#: device, where latency has no steady state and the monitor correctly
+#: never fires), on a device aged by one checkpointed warm-up per design.
 SPEEDUP_SCALE = ExperimentScale(
     requests=1000,
     requests_per_mix_constituent=340,
@@ -179,93 +180,6 @@ def bench_end_to_end(
     }
 
 
-def bench_sweep_speedup(
-    quick: bool = False,
-    scale: Optional[ExperimentScale] = None,
-    warmup: str = SPEEDUP_WARMUP,
-    early_stop: str = SPEEDUP_EARLY_STOP,
-) -> Dict[str, object]:
-    """Simulated-event cost of the fig9a/10/13/14 sweep, exact vs optimized.
-
-    The *exact* arm counts the four-figure pipeline the way it would run
-    without any caching: each figure deduplicates its own spec set, but
-    figures re-simulate the cells they share (fig10 repeats fig9a's
-    matrix; fig14 repeats fig13's).  It simulates each unique cell once
-    and adds that cell's events once per figure use, so ``exact_cells``
-    counts figure uses while ``exact_seconds`` times only the unique
-    cells.  The *optimized* arm runs the union of the same cells once --
-    cross-figure dedup via the result-store identity, one checkpointed
-    warm-up per design shared by every cell, and steady-state early-stop
-    on each measured phase.  Both arms count every simulated event,
-    warm-ups included, so ``event_speedup`` is an accounting ratio of
-    simulated events, not a wall-clock one.
-    """
-    from repro.experiments.figures import _CONFLICT_DESIGNS, DEFAULT_WORKLOADS
-    from repro.experiments.spec import ALL_DESIGNS, matrix_specs
-    from repro.sim.checkpoint import CheckpointStore
-
-    scale = scale or SPEEDUP_SCALE
-    workloads = DEFAULT_WORKLOADS[:3] if quick else DEFAULT_WORKLOADS
-    preset = "performance-optimized"
-    full_matrix = matrix_specs(preset, workloads, scale, ALL_DESIGNS)
-    fabric_matrix = matrix_specs(preset, workloads, scale, _CONFLICT_DESIGNS)
-    # fig9a, fig10, fig13, fig14 in pipeline order.
-    figure_specs = (full_matrix, full_matrix, fabric_matrix, fabric_matrix)
-
-    start = time.perf_counter()
-    exact_events = 0
-    exact_cells = 0
-    per_cell: Dict[object, int] = {}
-    for specs in figure_specs:
-        for spec in dict.fromkeys(specs):
-            if spec not in per_cell:
-                _, info = spec.execute_instrumented()
-                per_cell[spec] = int(info["events"])
-            # An uncached pipeline would re-simulate cells shared across
-            # figures; determinism lets us count the repeat without
-            # re-running it.
-            exact_events += per_cell[spec]
-            exact_cells += 1
-    exact_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    checkpoints = CheckpointStore()
-    unique = list(dict.fromkeys(full_matrix + fabric_matrix))
-    measured_events = 0
-    warmup_events = 0
-    early_stopped_cells = 0
-    for spec in unique:
-        twin = replace(spec, warmup=warmup, early_stop=early_stop)
-        _, info = twin.execute_instrumented(checkpoints)
-        measured_events += int(info["events"])
-        warmup_events += int(info.get("warmup_events", 0))
-        early_stopped_cells += bool(info.get("early_stopped"))
-    optimized_events = measured_events + warmup_events
-    optimized_seconds = time.perf_counter() - start
-
-    return {
-        "figures": ["fig9a", "fig10", "fig13", "fig14"],
-        "workloads": list(workloads),
-        "warmup": warmup,
-        "early_stop": early_stop,
-        "requests": scale.requests,
-        "target_pressure": scale.target_pressure,
-        "exact_cells": exact_cells,
-        "optimized_cells": len(unique),
-        "exact_events": exact_events,
-        "optimized_events": optimized_events,
-        "optimized_measured_events": measured_events,
-        "optimized_warmup_events": warmup_events,
-        "warmups_computed": len(checkpoints),
-        "early_stopped_cells": early_stopped_cells,
-        "event_speedup": (
-            exact_events / optimized_events if optimized_events else 0.0
-        ),
-        "exact_seconds": exact_seconds,
-        "optimized_seconds": optimized_seconds,
-    }
-
-
 def peak_rss_kb() -> Optional[int]:
     """Peak resident set size of this process in KiB (None if unavailable)."""
     try:
@@ -279,18 +193,8 @@ def peak_rss_kb() -> Optional[int]:
     return int(rss)
 
 
-def run_bench(
-    quick: bool = False,
-    repeats: Optional[int] = None,
-    speedup: bool = False,
-) -> Dict[str, object]:
-    """Run the full micro-benchmark suite; returns the BENCH_core payload.
-
-    ``speedup=True`` additionally runs :func:`bench_sweep_speedup` and
-    records it under ``"sweep_speedup"``.  The speedup ratio is reported,
-    not regression-gated: it is deterministic within one tree but moves
-    whenever warm-up/early-stop tuning changes, which is expected.
-    """
+def run_bench(quick: bool = False, repeats: Optional[int] = None) -> Dict[str, object]:
+    """Run the full micro-benchmark suite; returns the BENCH_core payload."""
     sizes = _QUICK if quick else _FULL
     reps = repeats if repeats is not None else (2 if quick else 3)
     engine = bench_engine_events(sizes["engine_events"], repeats=reps)
@@ -302,7 +206,7 @@ def run_bench(
     }
     total_requests = sum(d["requests"] for d in designs.values())
     total_seconds = sum(d["seconds"] for d in designs.values())
-    payload: Dict[str, object] = {
+    return {
         "schema_version": BENCH_SCHEMA_VERSION,
         "mode": "quick" if quick else "full",
         "python": platform.python_version(),
@@ -314,9 +218,17 @@ def run_bench(
         "requests_per_sec": total_requests / total_seconds,
         "peak_rss_kb": peak_rss_kb(),
     }
-    if speedup:
-        payload["sweep_speedup"] = bench_sweep_speedup(quick=quick)
-    return payload
+
+
+def gated_metrics(baseline: Dict[str, object]) -> Dict[str, float]:
+    """The headline metrics a baseline payload gates on: each of
+    ``events_per_sec`` and ``requests_per_sec`` it records as a positive
+    number."""
+    return {
+        metric: float(baseline[metric])
+        for metric in ("events_per_sec", "requests_per_sec")
+        if isinstance(baseline.get(metric), (int, float)) and baseline[metric] > 0
+    }
 
 
 def check_regression(
@@ -331,10 +243,7 @@ def check_regression(
     from the baseline are skipped, so baselines stay forward-compatible.
     """
     failures: List[str] = []
-    for metric in ("events_per_sec", "requests_per_sec"):
-        reference = baseline.get(metric)
-        if not isinstance(reference, (int, float)) or reference <= 0:
-            continue
+    for metric, reference in gated_metrics(baseline).items():
         measured = payload.get(metric)
         if not isinstance(measured, (int, float)):
             failures.append(f"{metric}: missing from bench payload")

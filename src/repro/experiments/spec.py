@@ -107,16 +107,6 @@ class ExperimentScale:
         )
 
     @classmethod
-    def benchmark(cls) -> "ExperimentScale":
-        """Small scale for pytest-benchmark runs."""
-        return cls(
-            requests=300,
-            requests_per_mix_constituent=120,
-            blocks_per_plane=32,
-            pages_per_block=32,
-        )
-
-    @classmethod
     def paper(cls) -> "ExperimentScale":
         """Larger scale for standalone reproduction runs."""
         return cls(

@@ -8,7 +8,6 @@ from repro.experiments.bench import (
     SPEEDUP_WARMUP,
     bench_engine_events,
     bench_resource_cycles,
-    bench_sweep_speedup,
     check_regression,
     peak_rss_kb,
     run_bench,
@@ -75,38 +74,3 @@ def test_speedup_recipe_strings_parse():
     assert EarlyStopPolicy.parse(SPEEDUP_EARLY_STOP).to_spec() == (
         SPEEDUP_EARLY_STOP
     )
-
-
-def test_run_bench_omits_sweep_speedup_by_default():
-    payload = run_bench(quick=True, repeats=1)
-    assert "sweep_speedup" not in payload
-
-
-def test_sweep_speedup_measures_both_arms():
-    """One tiny matrix through both arms: invariants, not the headline ratio
-    (the committed ratio comes from the full ``bench --speedup`` recipe)."""
-    from repro.experiments.spec import ExperimentScale
-
-    scale = ExperimentScale(
-        requests=240,
-        requests_per_mix_constituent=80,
-        blocks_per_plane=16,
-        pages_per_block=16,
-        target_pressure=0.05,
-    )
-    payload = bench_sweep_speedup(
-        quick=True,
-        scale=scale,
-        warmup="fill 0.5; steps 300",
-        early_stop="window 40; tolerance 0.03; patience 2; min 120",
-    )
-    encoded = json.loads(json.dumps(payload))
-    # Cross-figure structure: fig10/fig14 repeat fig9a/fig13's cells, so
-    # the exact arm simulates strictly more cell-executions than the
-    # optimized arm has unique cells.
-    assert encoded["exact_cells"] > encoded["optimized_cells"]
-    assert encoded["exact_events"] > encoded["optimized_events"] > 0
-    assert encoded["event_speedup"] > 1.0
-    # One shared warm-up per design, not per cell.
-    assert encoded["warmups_computed"] < encoded["optimized_cells"]
-    assert encoded["optimized_warmup_events"] > 0

@@ -86,10 +86,6 @@ def test_run_design_suite_skips_pnssd_on_rectangular_arrays():
     assert "baseline" in results
 
 
-def test_benchmark_and_paper_scales_differ():
-    assert ExperimentScale.benchmark().requests < ExperimentScale.paper().requests
-
-
 def test_run_suite_matches_materialized_design_suite():
     """The declarative (spec-based) path reproduces the materialized path."""
     config = build_config("performance-optimized", SCALE)

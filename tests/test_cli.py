@@ -211,6 +211,35 @@ def test_bench_command_fails_on_regression(tmp_path, capsys):
     assert "PERF REGRESSION" in captured.err
 
 
+@pytest.mark.parametrize("tolerance", ["-0.1", "1", "5", "nan"])
+def test_bench_command_rejects_tolerance_outside_unit_interval(
+    tmp_path, capsys, tolerance
+):
+    out_path = tmp_path / "BENCH_core.json"
+    code = main(["bench", "--quick", "--out", str(out_path), "--tolerance", tolerance])
+    assert code == 2
+    assert "--tolerance must be in [0, 1)" in capsys.readouterr().err
+    # Rejected before the benchmarks run.
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "baseline", [{}, {"note": "no numbers"}, {"events_per_sec": 0}, [1.0]]
+)
+def test_bench_command_rejects_baseline_that_checks_nothing(
+    tmp_path, capsys, baseline
+):
+    out_path = tmp_path / "BENCH_core.json"
+    baseline_path = tmp_path / "empty.json"
+    baseline_path.write_text(json.dumps(baseline))
+    code = main(
+        ["bench", "--quick", "--out", str(out_path), "--baseline", str(baseline_path)]
+    )
+    assert code == 2
+    assert "would check nothing" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def test_store_stats_command(tmp_path, capsys):
     assert main(["run", "--design", "baseline", "--workload", "hm_0",
                  "--requests", "60", "--cache", str(tmp_path)]) == 0

@@ -85,7 +85,7 @@ PINNED = {
     ),
 }
 
-PARSER_TREE_SHA = "31b2a61be0f7f5b0fe1c947fe96b410f59a4bb6cd9d3b9bca12c85d3860cc8ea"
+PARSER_TREE_SHA = "39d1bf9f42a48397615d60b4d2a6358bb8a018e6c75915b92f3d56f031b15824"
 
 
 def _stdout_sha(argv, capsys) -> str:
