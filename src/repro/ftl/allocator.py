@@ -159,17 +159,13 @@ class PageAllocator:
             cursor.open_block = None
         # Open the erased block with the lowest erase count (cheap static
         # wear leveling; see repro.ftl.wear_leveling for the active policy).
-        erased = [
-            (block.erase_count, index)
-            for index, block in enumerate(cursor.plane.blocks)
-            if block.is_erased
-        ]
+        # Untouched blocks are candidates too, as (0, index).
+        erased = list(cursor.plane.erased_blocks())
         if not erased:
             return None
         if not for_gc and len(erased) <= self.gc_reserved_blocks:
             return None  # only the GC reserve remains
-        erased.sort()
-        cursor.open_block = erased[0][1]
+        cursor.open_block = min(erased)[1]
         return cursor.open_block
 
     def _peek_address(
@@ -306,8 +302,7 @@ class PageAllocator:
 
     def erased_block_count(self, plane_flat: int) -> int:
         """How many of the plane's blocks are currently erased."""
-        plane = self._cursors[plane_flat].plane
-        return sum(1 for block in plane.blocks if block.is_erased)
+        return sum(1 for _ in self._cursors[plane_flat].plane.erased_blocks())
 
     def address_of(
         self, plane_flat: int, block: int, page: int

@@ -25,6 +25,7 @@ from repro.controller.transaction import (
 from repro.errors import GarbageCollectionError, MappingError
 from repro.ftl.allocator import AllocationStrategy, PageAllocator
 from repro.ftl.cache import DramCache
+from repro.ftl.gc import greedy_victim
 from repro.ftl.mapping import MappingTable
 from repro.nand.address import PhysicalPageAddress
 from repro.nand.array import FlashArray
@@ -289,27 +290,21 @@ class Ftl:
         """One synchronous compaction pass over all planes, timing-free.
 
         The churn-stage analogue of :class:`~repro.ftl.gc.GarbageCollector`:
-        per plane, pick the closed block with the fewest valid pages (ties
-        to lower erase count), migrate its valid pages (same plane first,
-        any plane as fallback -- GC-path allocations may dip into the
-        erased-block reserve), and erase it.  Returns the number of blocks
-        reclaimed; zero means every closed block is fully valid and no
-        space can be recovered.
+        per plane, pick the same :func:`~repro.ftl.gc.greedy_victim`,
+        migrate its valid pages (same plane first, any plane as fallback --
+        GC-path allocations may dip into the erased-block reserve), and
+        erase it.  Churn runs on a quiescent device and every timing-free
+        write programs its page before returning, so no block has an
+        in-flight program here and the scan's in-flight skip never fires.
+        Returns the number of blocks reclaimed; zero means every closed
+        block is fully valid and no space can be recovered.
         """
         reclaimed = 0
         for plane_flat in range(self.allocator.plane_count()):
             plane = self.allocator.plane(plane_flat)
-            open_block = self.allocator.open_block_of(plane_flat)
-            victim_index = None
-            victim_key = None
-            for index, block in enumerate(plane.blocks):
-                if index == open_block or block.is_erased:
-                    continue
-                if block.valid_count == block.pages_per_block:
-                    continue  # nothing to reclaim
-                key = (block.valid_count, block.erase_count)
-                if victim_key is None or key < victim_key:
-                    victim_index, victim_key = index, key
+            victim_index = greedy_victim(
+                plane, self.allocator.open_block_of(plane_flat)
+            )
             if victim_index is None:
                 continue
             victim = plane.block(victim_index)

@@ -27,7 +27,7 @@ from repro.ftl.allocator import PageAllocator
 from repro.ftl.mapping import MappingTable
 from repro.nand.address import PhysicalPageAddress
 from repro.nand.array import FlashArray
-from repro.nand.chip import PageState
+from repro.nand.chip import FlashPlane, PageState
 from repro.sim.engine import Engine
 
 
@@ -46,6 +46,31 @@ class GcPolicy:
     def should_stop(self, free_fraction: float) -> bool:
         """Whether a plane recovered past the stop watermark."""
         return free_fraction >= self.stop_free_fraction
+
+
+def greedy_victim(plane: FlashPlane, open_block: Optional[int]) -> Optional[int]:
+    """Greedy victim: the closed block with the fewest valid pages.
+
+    Ties break toward the lower erase count, so GC pressure spreads wear,
+    and then toward the lower index.  The open block, erased blocks, fully
+    valid blocks (nothing to reclaim) and blocks with in-flight programs
+    (erasing now would corrupt them) are never victims.  Only materialised
+    blocks are walked: an untouched block is erased.  Returns None when no
+    block qualifies.
+    """
+    best: Optional[int] = None
+    best_key: Optional[Tuple[int, int]] = None
+    for block in plane.materialised_blocks():
+        if block.index == open_block or block.is_erased:
+            continue
+        if block.pending_programs > 0:
+            continue
+        if block.valid_count == block.pages_per_block:
+            continue
+        key = (block.valid_count, block.erase_count)
+        if best_key is None or key < best_key:
+            best, best_key = block.index, key
+    return best
 
 
 class GarbageCollector:
@@ -81,26 +106,11 @@ class GarbageCollector:
     # ------------------------------------------------------------------ #
 
     def select_victim(self, plane_flat: int) -> Optional[int]:
-        """Greedy victim: fully-written block with the fewest valid pages.
-
-        Ties break toward the lower erase count so GC pressure spreads wear.
-        Returns None when no closed block exists (nothing reclaimable).
-        """
-        plane = self.allocator.plane(plane_flat)
-        open_block = self.allocator.open_block_of(plane_flat)
-        best: Optional[int] = None
-        best_key: Optional[Tuple[int, int]] = None
-        for index, block in enumerate(plane.blocks):
-            if index == open_block or block.is_erased:
-                continue
-            if block.pending_programs > 0:
-                continue  # in-flight programs: erasing now would corrupt them
-            if block.valid_count == block.pages_per_block:
-                continue  # nothing to reclaim
-            key = (block.valid_count, block.erase_count)
-            if best_key is None or key < best_key:
-                best, best_key = index, key
-        return best
+        """The plane's :func:`greedy_victim` (None: nothing reclaimable)."""
+        return greedy_victim(
+            self.allocator.plane(plane_flat),
+            self.allocator.open_block_of(plane_flat),
+        )
 
     def maybe_trigger(self, plane_flat: int, force: bool = False) -> bool:
         """Spawn a GC process for a plane if it crossed the threshold.

@@ -78,15 +78,23 @@ class WearLeveler:
     # ------------------------------------------------------------------ #
 
     def wear_stats(self) -> WearStats:
-        """Snapshot the erase-count distribution across every block."""
-        counts: List[int] = [
-            block.erase_count
-            for _, _, plane in self.array.iter_planes()
-            for block in plane.blocks
-        ]
-        if not counts:
+        """Snapshot the erase-count distribution across every block.
+
+        Untouched blocks are never built; each counts as erase count 0.
+        """
+        counts: List[int] = []
+        untouched = 0
+        for _, _, plane in self.array.iter_planes():
+            counts.extend(
+                block.erase_count for block in plane.materialised_blocks()
+            )
+            untouched += plane.untouched_blocks
+        blocks = len(counts) + untouched
+        if not blocks:
             return WearStats(0, 0, 0.0)
-        return WearStats(min(counts), max(counts), sum(counts) / len(counts))
+        if untouched:
+            counts.append(0)  # stands for every untouched block
+        return WearStats(min(counts), max(counts), sum(counts) / blocks)
 
     def needs_leveling(self) -> bool:
         """Whether the wear spread exceeds the leveling threshold."""
@@ -104,19 +112,18 @@ class WearLeveler:
 
     def _find_cold_block(self) -> Optional[Tuple[int, int]]:
         """(plane_flat, block_index) of the coldest fully-valid block."""
-        geometry = self.array.geometry
         best: Optional[Tuple[int, int]] = None
         best_erases: Optional[int] = None
         plane_flat = -1
         for chip, die, plane in self.array.iter_planes():
             plane_flat += 1
-            for index, block in enumerate(plane.blocks):
+            # An untouched block holds no valid page, so it is never cold.
+            for block in plane.materialised_blocks():
                 if block.valid_count != block.pages_per_block:
                     continue  # only fully-valid (cold, never rewritten) blocks
                 if best_erases is None or block.erase_count < best_erases:
-                    best = (plane_flat, index)
+                    best = (plane_flat, block.index)
                     best_erases = block.erase_count
-        del geometry
         return best
 
     def _level(self) -> Generator:

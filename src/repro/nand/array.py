@@ -60,7 +60,7 @@ class FlashArray:
         die = self._dies_flat[
             (chip.channel * self._ways + chip.way) * self._dies_per_chip + address.die
         ]
-        return die.planes[address.plane].blocks[address.block]
+        return die.planes[address.plane].block(address.block)
 
     def set_die_failed(self, channel: int, way: int, die: int, failed: bool = True) -> None:
         """Mark one die failed/repaired (fault injection; bounds-checked).
@@ -100,11 +100,3 @@ class FlashArray:
 
     def total_free_pages(self) -> int:
         return sum(plane.free_pages for _, _, plane in self.iter_planes())
-
-    def max_erase_count(self) -> int:
-        counts = [
-            block.erase_count
-            for _, _, plane in self.iter_planes()
-            for block in plane.blocks
-        ]
-        return max(counts) if counts else 0

@@ -17,7 +17,7 @@ and a die ``Resource`` but never touches the event loop itself beyond that.
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, Optional
+from typing import Iterator, List, Optional, Tuple
 
 from repro.config.ssd_config import NandGeometry, NandTimings
 from repro.errors import NandProtocolError
@@ -230,23 +230,65 @@ class FlashBlock:
 
 
 class FlashPlane:
-    """A plane: blocks_per_plane blocks sharing sense amplifiers."""
+    """A plane: blocks_per_plane blocks sharing sense amplifiers.
 
-    __slots__ = ("index", "blocks", "reads", "programs", "erases", "allocated_pages")
+    Blocks are built on first touch: each index holds ``None`` until
+    :meth:`block` -- the only constructor path -- materialises it.  An
+    untouched block is exactly a fresh one (erased, erase count 0, every
+    page FREE, no in-flight programs), so aggregate views count it
+    implicitly and iterate only :meth:`materialised_blocks`.  A cell
+    touches a few blocks per plane; built eagerly, the paper's full-size
+    array would hold about 131k blocks and 100M page-state slots.
+    """
+
+    __slots__ = (
+        "index",
+        "pages_per_block",
+        "_blocks",
+        "materialised",
+        "reads",
+        "programs",
+        "erases",
+        "allocated_pages",
+    )
 
     def __init__(self, index: int, geometry: NandGeometry) -> None:
         self.index = index
+        self.pages_per_block = geometry.pages_per_block
         self.allocated_pages = 0  # maintained by the blocks' pointer moves
-        self.blocks: List[FlashBlock] = [
-            FlashBlock(block, geometry.pages_per_block, plane=self)
-            for block in range(geometry.blocks_per_plane)
-        ]
+        self._blocks: List[Optional[FlashBlock]] = [None] * geometry.blocks_per_plane
+        self.materialised = 0  # blocks built so far
         self.reads = 0
         self.programs = 0
         self.erases = 0
 
     def block(self, index: int) -> FlashBlock:
-        return self.blocks[index]
+        block = self._blocks[index]
+        if block is None:
+            block = FlashBlock(index, self.pages_per_block, plane=self)
+            self._blocks[index] = block
+            self.materialised += 1
+        return block
+
+    def materialised_blocks(self) -> Iterator[FlashBlock]:
+        """The blocks built so far, in index order."""
+        return (block for block in self._blocks if block is not None)
+
+    def erased_blocks(self) -> Iterator[Tuple[int, int]]:
+        """``(erase_count, index)`` of every erased block, in index order.
+
+        Untouched blocks are included as ``(0, index)`` without being built.
+        """
+        for index, block in enumerate(self._blocks):
+            if block is None:
+                yield 0, index
+            elif block.is_erased:
+                yield block.erase_count, index
+
+    @property
+    def untouched_blocks(self) -> int:
+        """Blocks never built: implicitly erased with erase count 0."""
+        return len(self._blocks) - self.materialised
 
     @property
     def free_pages(self) -> int:
@@ -254,11 +296,11 @@ class FlashPlane:
 
     @property
     def valid_pages(self) -> int:
-        return sum(block.valid_count for block in self.blocks)
+        return sum(block.valid_count for block in self.materialised_blocks())
 
     @property
     def total_pages(self) -> int:
-        return len(self.blocks) * self.blocks[0].pages_per_block if self.blocks else 0
+        return len(self._blocks) * self.pages_per_block
 
 
 class FlashDie:
@@ -380,13 +422,6 @@ class FlashChip:
     @property
     def flat_index(self) -> int:
         return self.address.flat_index(self.geometry)
-
-    def erase_counts(self) -> Dict[int, int]:
-        """Total erase count per die (wear statistics)."""
-        return {
-            die.index: sum(block.erase_count for plane in die.planes for block in plane.blocks)
-            for die in self.dies
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"FlashChip({self.address.channel},{self.address.way})"

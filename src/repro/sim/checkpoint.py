@@ -166,7 +166,7 @@ def snapshot_device(device) -> dict:
     blocks: List[list] = []
     planes = [plane for _, _, plane in device.array.iter_planes()]
     for plane_flat, plane in enumerate(planes):
-        for block in plane.blocks:
+        for block in plane.materialised_blocks():
             if block.pending_programs:
                 raise SimulationError(
                     f"snapshot of a non-quiescent device: block "
@@ -175,7 +175,7 @@ def snapshot_device(device) -> dict:
                 )
             if (block.erase_count == 0 and block.allocation_pointer == 0
                     and block.invalid_count == 0):
-                continue  # untouched block: implicit in the snapshot
+                continue  # pristine block: implicit in the snapshot
             pages = "".join(
                 "v" if block.page_states[page] is PageState.VALID else "i"
                 for page in range(block.allocation_pointer)
@@ -228,8 +228,15 @@ def restore_device(device, state: dict) -> None:
             f"device geometry {expected}"
         )
     planes = [plane for _, _, plane in device.array.iter_planes()]
+    blocks_per_plane = device.config.geometry.blocks_per_plane
     for plane_flat, block_index, erase_count, pages in state["blocks"]:
-        block = planes[plane_flat].blocks[block_index]
+        if not (0 <= plane_flat < len(planes)
+                and 0 <= block_index < blocks_per_plane):
+            raise SimulationError(
+                f"corrupt checkpoint: block {block_index} of plane "
+                f"{plane_flat} is outside the array"
+            )
+        block = planes[plane_flat].block(block_index)
         try:
             # The block owns its restore path (and its invariants): a
             # corrupt snapshot -- bad page states, overlong fill, negative

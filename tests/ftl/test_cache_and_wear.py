@@ -106,7 +106,7 @@ def test_wear_stats_initially_flat():
 def test_wear_spread_detection():
     device = make_device()
     plane = device.ftl.allocator.plane(0)
-    plane.blocks[0].erase_count = 20  # artificially worn block
+    plane.block(0).erase_count = 20  # artificially worn block
     assert device.wear_leveler.wear_stats().spread == 20
     assert device.wear_leveler.needs_leveling()
 
@@ -114,7 +114,7 @@ def test_wear_spread_detection():
 def test_wear_leveling_disabled_never_triggers():
     device = make_device(enable_wear=False)
     plane = device.ftl.allocator.plane(0)
-    plane.blocks[0].erase_count = 50
+    plane.block(0).erase_count = 50
     assert not device.wear_leveler.needs_leveling()
     assert not device.wear_leveler.maybe_trigger()
 
@@ -122,7 +122,7 @@ def test_wear_leveling_disabled_never_triggers():
 def test_cold_block_detection():
     device = make_device()
     plane = device.ftl.allocator.plane(3)
-    block = plane.blocks[2]
+    block = plane.block(2)
     for page in range(block.pages_per_block):
         block.program_page(page)
     cold = device.wear_leveler._find_cold_block()
@@ -143,7 +143,7 @@ def test_wear_leveling_migrates_cold_block():
         address = PhysicalPageAddress(chip, 0, 0, 0, page)
         device.array.block_for(address).program_page(page)
         device.ftl.mapping.map_page(page, address.page_flat_index(geometry))
-    device.ftl.allocator.plane(3).blocks[1].erase_count = 30
+    device.ftl.allocator.plane(3).block(1).erase_count = 30
     triggered = device.wear_leveler.maybe_trigger()
     assert triggered
     device.engine.run()

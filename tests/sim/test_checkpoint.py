@@ -121,6 +121,17 @@ class TestSnapshotRestore:
         with pytest.raises(SimulationError, match="bad page states"):
             restore_device(device, tampered)
 
+    @pytest.mark.parametrize("where", [(0, -1), (0, 16), (-1, 0), (10**6, 0)])
+    def test_restore_rejects_blocks_outside_the_array(self, where):
+        spec = _spec(warmup="fill 0.1")
+        state, _ = spec.compute_checkpoint()
+        tampered = json.loads(json.dumps(state))
+        _, _, erases, pages = tampered["blocks"][0]
+        tampered["blocks"][0] = [*where, erases, pages]
+        device = spec._build_device(spec.build_config(), with_faults=False)
+        with pytest.raises(SimulationError, match="outside the array"):
+            restore_device(device, tampered)
+
     def test_churned_snapshot_restores_bit_identically(self):
         spec = _spec(warmup="fill 0.8; churn 0.5; steps 40")
         state, _ = spec.compute_checkpoint()
