@@ -15,14 +15,15 @@ import pytest
 
 from repro.config.ssd_config import DesignKind
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import build_config, make_device, trace_for
+from repro.experiments.spec import build_config, trace_for
 from repro.hil.request import IoKind, IoRequest
+from repro.ssd.device import SsdDevice
 
 from benchmarks.conftest import BENCH_SCALE, emit
 
 
 def run_venice_with(misroutes, trace, config):
-    device = make_device(config, DesignKind.VENICE, BENCH_SCALE)
+    device = SsdDevice(config, DesignKind.VENICE)
     device.fabric.network.max_misroutes = misroutes
     return device.run_trace(trace.requests, "ablation")
 
@@ -52,10 +53,10 @@ def test_bench_ablation_fc_selection(benchmark):
     trace = trace_for("proj_3", config, BENCH_SCALE)
 
     def run():
-        spread_device = make_device(config, DesignKind.VENICE, BENCH_SCALE)
+        spread_device = SsdDevice(config, DesignKind.VENICE)
         spread = spread_device.run_trace(trace.requests, "spread")
 
-        pinned_device = make_device(config, DesignKind.VENICE, BENCH_SCALE)
+        pinned_device = SsdDevice(config, DesignKind.VENICE)
         fabric = pinned_device.fabric
         fabric._fc_preference = lambda chip: tuple(
             sorted(range(config.flash_controllers),
@@ -100,7 +101,7 @@ def test_bench_ablation_gc_interference(benchmark):
         out = {}
         budget = int(config.geometry.total_pages * 0.06)
         for design in (DesignKind.BASELINE, DesignKind.VENICE):
-            device = make_device(config, design, BENCH_SCALE)
+            device = SsdDevice(config, design)
             device.precondition(1.0)
             result = device.run_trace(overwrite_requests(budget), "gc-aged")
             out[design.value] = (

@@ -1,6 +1,6 @@
 """Figure 4: prior approaches vs the ideal path-conflict-free SSD."""
 
-from repro.experiments.figures import fig4_motivation
+from repro.experiments.figures import run_figure
 from repro.experiments.reporting import speedup_table
 
 from benchmarks.conftest import BENCH_SCALE, BENCH_WORKLOADS, emit
@@ -8,7 +8,7 @@ from benchmarks.conftest import BENCH_SCALE, BENCH_WORKLOADS, emit
 
 def test_bench_fig04_motivation(benchmark):
     result = benchmark.pedantic(
-        fig4_motivation, args=(BENCH_SCALE, BENCH_WORKLOADS), rounds=1, iterations=1
+        run_figure, args=("fig4", BENCH_SCALE, BENCH_WORKLOADS), rounds=1, iterations=1
     )
     emit(
         "Figure 4: speedup over Baseline SSD (performance-optimized)",

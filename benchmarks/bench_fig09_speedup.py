@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.figures import fig9_speedup
+from repro.experiments.figures import run_figure
 from repro.experiments.reporting import speedup_table
 
 from benchmarks.conftest import BENCH_SCALE, BENCH_WORKLOADS, emit
@@ -10,15 +10,14 @@ from benchmarks.conftest import BENCH_SCALE, BENCH_WORKLOADS, emit
 DESIGNS = ["pssd", "pnssd", "nossd", "venice", "ideal"]
 
 
-@pytest.mark.parametrize("preset", ["performance-optimized", "cost-optimized"])
-def test_bench_fig09_speedup(benchmark, preset, bench_store):
+@pytest.mark.parametrize("figure", ["fig9a", "fig9b"])
+def test_bench_fig09_speedup(benchmark, figure, bench_store):
     result = benchmark.pedantic(
-        fig9_speedup, args=(preset, BENCH_SCALE, BENCH_WORKLOADS),
+        run_figure, args=(figure, BENCH_SCALE, BENCH_WORKLOADS),
         kwargs={"store": bench_store}, rounds=1, iterations=1,
     )
-    label = "9(a)" if preset.startswith("perf") else "9(b)"
     emit(
-        f"Figure {label}: speedup over Baseline SSD ({preset})",
+        f"Figure 9({figure[-1]}): speedup over Baseline SSD ({result['preset']})",
         speedup_table(result["speedups"], DESIGNS),
     )
     gmean = result["gmean"]

@@ -1,21 +1,18 @@
 """Figure 10: IOPS normalized to the path-conflict-free SSD."""
 
-import pytest
-
-from repro.experiments.figures import fig10_throughput
+from repro.experiments.figures import run_figure
 from repro.experiments.reporting import speedup_table
 
 from benchmarks.conftest import BENCH_SCALE, BENCH_WORKLOADS, emit
 
 
-@pytest.mark.parametrize("preset", ["performance-optimized", "cost-optimized"])
-def test_bench_fig10_throughput(benchmark, preset, bench_store):
+def test_bench_fig10_throughput(benchmark, bench_store):
     result = benchmark.pedantic(
-        fig10_throughput, args=(preset, BENCH_SCALE, BENCH_WORKLOADS),
+        run_figure, args=("fig10", BENCH_SCALE, BENCH_WORKLOADS),
         kwargs={"store": bench_store}, rounds=1, iterations=1,
     )
     emit(
-        f"Figure 10: normalized SSD throughput ({preset})",
+        "Figure 10: normalized SSD throughput (performance-optimized)",
         speedup_table(
             result["normalized_throughput"],
             ["baseline", "pssd", "pnssd", "nossd", "venice"],

@@ -1,6 +1,6 @@
 """Figure 11: p99 tail-latency CDFs for src1_0 and hm_0."""
 
-from repro.experiments.figures import fig11_tail_latency
+from repro.experiments.figures import run_figure
 from repro.experiments.reporting import format_table
 
 from benchmarks.conftest import BENCH_SCALE, emit
@@ -8,7 +8,7 @@ from benchmarks.conftest import BENCH_SCALE, emit
 
 def test_bench_fig11_tail_latency(benchmark):
     result = benchmark.pedantic(
-        fig11_tail_latency, args=(BENCH_SCALE, ("src1_0", "hm_0")),
+        run_figure, args=("fig11", BENCH_SCALE, ("src1_0", "hm_0")),
         rounds=1, iterations=1,
     )
     rows = []

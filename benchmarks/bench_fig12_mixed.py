@@ -1,6 +1,6 @@
 """Figure 12: mixed workloads (Table 3) on the performance-optimized SSD."""
 
-from repro.experiments.figures import fig12_mixed
+from repro.experiments.figures import run_figure
 from repro.experiments.reporting import speedup_table
 
 from benchmarks.conftest import BENCH_SCALE, emit
@@ -8,7 +8,7 @@ from benchmarks.conftest import BENCH_SCALE, emit
 
 def test_bench_fig12_mixed(benchmark):
     result = benchmark.pedantic(
-        fig12_mixed, args=(BENCH_SCALE,), rounds=1, iterations=1
+        run_figure, args=("fig12", BENCH_SCALE), rounds=1, iterations=1
     )
     emit(
         "Figure 12: mixed-workload speedup over Baseline SSD",

@@ -1,6 +1,6 @@
 """Figure 13: percentage of I/O requests experiencing path conflicts."""
 
-from repro.experiments.figures import fig13_conflicts
+from repro.experiments.figures import run_figure
 from repro.experiments.reporting import format_table
 
 from benchmarks.conftest import BENCH_SCALE, BENCH_WORKLOADS, emit
@@ -8,7 +8,7 @@ from benchmarks.conftest import BENCH_SCALE, BENCH_WORKLOADS, emit
 
 def test_bench_fig13_conflicts(benchmark, bench_store):
     result = benchmark.pedantic(
-        fig13_conflicts, args=(BENCH_SCALE, BENCH_WORKLOADS),
+        run_figure, args=("fig13", BENCH_SCALE, BENCH_WORKLOADS),
         kwargs={"store": bench_store}, rounds=1, iterations=1,
     )
     designs = ["baseline", "pssd", "pnssd", "nossd", "venice"]

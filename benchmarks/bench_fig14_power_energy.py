@@ -1,6 +1,6 @@
 """Figure 14: power and energy normalized to the Baseline SSD."""
 
-from repro.experiments.figures import fig14_power_energy
+from repro.experiments.figures import run_figure
 from repro.experiments.reporting import speedup_table
 
 from benchmarks.conftest import BENCH_SCALE, BENCH_WORKLOADS, emit
@@ -10,7 +10,7 @@ DESIGNS = ["pssd", "pnssd", "nossd", "venice"]
 
 def test_bench_fig14_power_energy(benchmark, bench_store):
     result = benchmark.pedantic(
-        fig14_power_energy, args=(BENCH_SCALE, BENCH_WORKLOADS),
+        run_figure, args=("fig14", BENCH_SCALE, BENCH_WORKLOADS),
         kwargs={"store": bench_store}, rounds=1, iterations=1,
     )
     emit(

@@ -1,6 +1,6 @@
 """Figure 15: sensitivity to flash-controller count (4x16 / 8x8 / 16x4)."""
 
-from repro.experiments.figures import fig15_sensitivity
+from repro.experiments.figures import run_figure
 from repro.experiments.reporting import format_table
 
 from benchmarks.conftest import BENCH_SCALE, emit
@@ -10,7 +10,7 @@ WORKLOADS = ("proj_3", "YCSB_B", "src2_1")
 
 def test_bench_fig15_sensitivity(benchmark):
     result = benchmark.pedantic(
-        fig15_sensitivity, args=(BENCH_SCALE, WORKLOADS), rounds=1, iterations=1
+        run_figure, args=("fig15", BENCH_SCALE, WORKLOADS), rounds=1, iterations=1
     )
     designs = ["pssd", "nossd", "venice", "ideal"]  # pnSSD needs NxN (§6.5)
     rows = [

@@ -1,6 +1,6 @@
 """Table 4: Venice's power and area overheads (analytic model)."""
 
-from repro.experiments.figures import table4_overheads
+from repro.experiments.figures import run_figure
 from repro.experiments.reporting import format_table
 
 from benchmarks.conftest import BENCH_SCALE, emit
@@ -8,7 +8,7 @@ from benchmarks.conftest import BENCH_SCALE, emit
 
 def test_bench_table4_overheads(benchmark):
     result = benchmark.pedantic(
-        table4_overheads, args=(BENCH_SCALE,), rounds=1, iterations=1
+        run_figure, args=("table4", BENCH_SCALE), rounds=1, iterations=1
     )
     rows = [
         ["router power (mW)", result["router_power_mw"], "0.241 (paper)"],

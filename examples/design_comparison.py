@@ -12,13 +12,13 @@ Run:  python examples/design_comparison.py [workload]
 import sys
 
 from repro.config.ssd_config import DesignKind
+from repro.experiments.executor import execute_specs
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import (
-    ALL_DESIGNS,
+from repro.experiments.spec import (
     ExperimentScale,
     build_config,
     channel_pressure,
-    run_design_suite,
+    matrix_specs,
     trace_for,
 )
 
@@ -36,7 +36,9 @@ def main() -> None:
         f"on {config.name}...\n"
     )
 
-    results = run_design_suite(config, trace, scale, ALL_DESIGNS)
+    specs = matrix_specs("performance-optimized", (workload,), scale)
+    executed = execute_specs(specs)
+    results = {spec.design: executed[spec] for spec in specs}
     baseline = results[DesignKind.BASELINE.value]
 
     rows = []

@@ -12,8 +12,9 @@ Run:  python examples/gc_interference.py
 
 from repro.config.ssd_config import DesignKind
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import ExperimentScale, build_config, make_device
+from repro.experiments.spec import ExperimentScale, build_config
 from repro.hil.request import IoKind, IoRequest
+from repro.ssd.device import SsdDevice
 
 
 def overwrite_trace(page_size: int, count: int = 512):
@@ -42,7 +43,7 @@ def main() -> None:
 
     rows = []
     for design in (DesignKind.BASELINE, DesignKind.VENICE, DesignKind.IDEAL):
-        device = make_device(config, design, scale)
+        device = SsdDevice(config, design)
         filled = device.precondition(1.0)
         result = device.run_trace(overwrite_trace(page), f"gc-{design.value}")
         rows.append(

@@ -13,11 +13,12 @@ Run:  python examples/multi_tenant_mix.py [mix1..mix6]
 import sys
 
 from repro.config.ssd_config import DesignKind
+from repro.experiments.executor import execute_specs
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import (
+from repro.experiments.spec import (
     ExperimentScale,
     build_config,
-    run_design_suite,
+    matrix_specs,
     trace_for,
 )
 from repro.workloads.mixes import MIX_CATALOG
@@ -42,7 +43,9 @@ def main() -> None:
         DesignKind.VENICE,
         DesignKind.IDEAL,
     )
-    results = run_design_suite(config, trace, scale, designs)
+    specs = matrix_specs("performance-optimized", (mix_name,), scale, designs)
+    executed = execute_specs(specs)
+    results = {spec.design: executed[spec] for spec in specs}
     baseline = results["baseline"]
     rows = [
         [

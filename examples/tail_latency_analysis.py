@@ -9,11 +9,12 @@ Run:  python examples/tail_latency_analysis.py
 """
 
 from repro.config.ssd_config import DesignKind
+from repro.experiments.executor import execute_specs
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import (
+from repro.experiments.spec import (
     ExperimentScale,
     build_config,
-    run_workload_on,
+    matrix_specs,
     trace_for,
 )
 
@@ -24,10 +25,15 @@ def main() -> None:
     trace = trace_for("src1_0", config, scale)
 
     print(f"Replaying {len(trace)} requests of src1_0 on {config.name}...\n")
-    runs = {
-        design.value: run_workload_on(design, config, trace, scale, with_cdf=True)
-        for design in (DesignKind.BASELINE, DesignKind.NOSSD, DesignKind.VENICE)
-    }
+    specs = matrix_specs(
+        "performance-optimized",
+        ("src1_0",),
+        scale,
+        (DesignKind.BASELINE, DesignKind.NOSSD, DesignKind.VENICE),
+        with_cdf=True,
+    )
+    executed = execute_specs(specs)
+    runs = {spec.design: executed[spec] for spec in specs}
 
     fractions = [point[1] for point in runs["baseline"].tail_cdf]
     rows = []

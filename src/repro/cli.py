@@ -96,8 +96,12 @@ from repro.errors import ConfigurationError, ReproError
 from repro.experiments import figures
 from repro.experiments.executor import Executor, execute_specs
 from repro.experiments.reporting import format_table, speedup_table
-from repro.experiments.runner import ExperimentScale, make_spec, run_suite
-from repro.experiments.spec import TRACE_WORKLOAD_PREFIX
+from repro.experiments.spec import (
+    TRACE_WORKLOAD_PREFIX,
+    ExperimentScale,
+    make_spec,
+    matrix_specs,
+)
 from repro.experiments.store import BACKEND_NAMES, ResultStore
 from repro.ssd.factory import design_names
 from repro.workloads import formats as trace_formats
@@ -958,12 +962,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    results = run_suite(
+    specs = matrix_specs(
         args.preset,
-        args.workload,
+        (args.workload,),
         ExperimentScale.for_requests(args.requests, args.seed),
-        **_orchestration(args),
     )
+    executed = execute_specs(specs, **_orchestration(args))
+    results = {spec.design: executed[spec] for spec in specs}
     baseline = results["baseline"]
     rows = [
         [
@@ -1157,33 +1162,28 @@ def _cmd_trace_replay(args: argparse.Namespace) -> int:
 
 def _cmd_trace_convert(args: argparse.Namespace) -> int:
     import csv
-    import os
+
+    from repro.atomic import atomic_output
 
     fmt = args.trace_format or trace_formats.detect_format(args.path)
     written = 0
     # Write-then-rename: a parse error mid-file must not leave a truncated
     # (but well-formed-looking) canonical CSV at the target path.
-    tmp = f"{args.out}.tmp"
-    try:
-        with open(tmp, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["arrival_ns", "kind", "offset_bytes", "size_bytes"])
-            for record in trace_formats.iter_trace_records(
-                args.path, fmt, limit=args.limit
-            ):
-                writer.writerow(
-                    [
-                        record.arrival_ns,
-                        record.kind.value,
-                        record.offset_bytes,
-                        record.size_bytes,
-                    ]
-                )
-                written += 1
-        os.replace(tmp, args.out)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+    with atomic_output(args.out, newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["arrival_ns", "kind", "offset_bytes", "size_bytes"])
+        for record in trace_formats.iter_trace_records(
+            args.path, fmt, limit=args.limit
+        ):
+            writer.writerow(
+                [
+                    record.arrival_ns,
+                    record.kind.value,
+                    record.offset_bytes,
+                    record.size_bytes,
+                ]
+            )
+            written += 1
     print(f"wrote {written} records to {args.out}")
     return 0
 

@@ -17,26 +17,19 @@ The orchestration stack, bottom-up:
 * :mod:`repro.experiments.figures` -- one declaration per paper figure:
   a spec set plus a pure reducer over the shared cached results.
 
-Every function returns plain data structures (dicts / dataclasses) that the
-reporting helpers render as text tables; the benchmark suite calls the same
-functions at reduced scale.
+A figure runs only through :func:`run_figure` / :func:`run_all_figures`
+over the :data:`FIGURES` registry; any other run is a :class:`RunSpec`
+executed by :func:`execute_specs`.  Both return plain data structures
+(dicts / dataclasses) that the reporting helpers render as text tables; the
+benchmark suite calls the same functions at reduced scale.
 """
 
 from repro.experiments.executor import Executor, execute_specs
 from repro.experiments.figures import (
     FIGURE_NAMES,
     FIGURES,
-    fig4_motivation,
-    fig9_speedup,
-    fig10_throughput,
-    fig11_tail_latency,
-    fig12_mixed,
-    fig13_conflicts,
-    fig14_power_energy,
-    fig15_sensitivity,
     run_all_figures,
     run_figure,
-    table4_overheads,
     validate_figure_workloads,
 )
 from repro.experiments.motivation import (
@@ -44,16 +37,14 @@ from repro.experiments.motivation import (
     TimelineExample,
 )
 from repro.experiments.reporting import format_table, geometric_mean
-from repro.experiments.runner import (
-    ExperimentScale,
-    build_config,
-    make_device,
-    run_design_suite,
-    run_suite,
-    run_workload_on,
-)
 from repro.experiments.queue import Task, WorkQueue, default_owner_id
-from repro.experiments.spec import RunSpec, make_spec, matrix_specs
+from repro.experiments.spec import (
+    ExperimentScale,
+    RunSpec,
+    build_config,
+    make_spec,
+    matrix_specs,
+)
 from repro.experiments.store import BACKEND_NAMES, ResultStore, StoreBackend
 from repro.experiments.worker import QueueExecutor, QueueWorker
 
@@ -74,25 +65,12 @@ __all__ = [
     "build_config",
     "default_owner_id",
     "execute_specs",
-    "fig4_motivation",
-    "fig9_speedup",
-    "fig10_throughput",
-    "fig11_tail_latency",
-    "fig12_mixed",
-    "fig13_conflicts",
-    "fig14_power_energy",
-    "fig15_sensitivity",
     "format_table",
     "geometric_mean",
-    "make_device",
     "make_spec",
     "matrix_specs",
     "run_all_figures",
-    "run_design_suite",
     "run_figure",
-    "run_suite",
-    "run_workload_on",
     "service_timeline_example",
-    "table4_overheads",
     "validate_figure_workloads",
 ]

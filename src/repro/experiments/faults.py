@@ -26,7 +26,7 @@ from repro.experiments.spec import (
     build_config,
     matrix_specs,
 )
-from repro.interconnect.topology import Coord, MeshTopology, edge_key
+from repro.interconnect.topology import Coord, MeshTopology, edge_key, reachable
 from repro.sim.faults import FaultEvent, FaultKind, FaultSchedule
 from repro.sim.rng import DeterministicRng
 
@@ -44,21 +44,6 @@ SWEEP_DESIGNS = (
 DEFAULT_LINK_COUNTS = (0, 1, 2, 4, 8)
 
 Edge = Tuple[Coord, Coord]
-
-
-def _connected(topology: MeshTopology, dead) -> bool:
-    """True when the mesh minus ``dead`` edges is still one component."""
-    start = (0, 0)
-    frontier = [start]
-    seen = {start}
-    while frontier:
-        node = frontier.pop()
-        for _, neighbor in topology.neighbors(node):
-            if neighbor in seen or edge_key(node, neighbor) in dead:
-                continue
-            seen.add(neighbor)
-            frontier.append(neighbor)
-    return len(seen) == topology.node_count
 
 
 def degradation_links(
@@ -94,7 +79,8 @@ def degradation_links(
             break
         key = edge_key(*edge)
         dead.add(key)
-        if _connected(topology, dead):
+        # Accept the link only if the mesh minus ``dead`` stays connected.
+        if len(reachable(topology, [(0, 0)], dead)) == topology.node_count:
             chosen.append(edge)
         else:
             dead.discard(key)

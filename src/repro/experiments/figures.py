@@ -11,9 +11,8 @@ figure plots.  Declaring figures this way buys two things:
   run exactly once, in parallel if asked;
 * reducers never simulate, so cached results can be re-reduced for free.
 
-The per-figure functions (``fig9_speedup`` etc.) keep their historical
-signatures and remain the unit-test surface; they are thin wrappers over
-the declarations.
+:func:`run_figure` and :func:`run_all_figures` are the only ways to run a
+figure; the CLI, the tests and the benchmarks all go through them.
 """
 
 from __future__ import annotations
@@ -144,17 +143,6 @@ def _plan_fig4(
     return specs, reduce
 
 
-def fig4_motivation(
-    scale: ExperimentScale = ExperimentScale(),
-    workloads: Sequence[str] = DEFAULT_WORKLOADS,
-    *,
-    executor=None,
-    store=None,
-) -> Dict[str, object]:
-    specs, reduce = _plan_fig4(scale, workloads)
-    return reduce(execute_specs(specs, executor=executor, store=store))
-
-
 # --------------------------------------------------------------------- #
 # Figure 9: Venice speedup on both configurations
 # --------------------------------------------------------------------- #
@@ -178,27 +166,15 @@ def _plan_fig9(
     return specs, reduce
 
 
-def fig9_speedup(
-    preset: str = "performance-optimized",
-    scale: ExperimentScale = ExperimentScale(),
-    workloads: Sequence[str] = DEFAULT_WORKLOADS,
-    *,
-    executor=None,
-    store=None,
-) -> Dict[str, object]:
-    specs, reduce = _plan_fig9(preset, scale, workloads)
-    return reduce(execute_specs(specs, executor=executor, store=store))
-
-
 # --------------------------------------------------------------------- #
 # Figure 10: throughput normalized to the path-conflict-free SSD
 # --------------------------------------------------------------------- #
 
 def _plan_fig10(
-    preset: str, scale: ExperimentScale, workloads: Optional[Sequence[str]]
+    scale: ExperimentScale, workloads: Optional[Sequence[str]]
 ) -> Plan:
     workloads = tuple(workloads or DEFAULT_WORKLOADS)
-    specs = matrix_specs(preset, workloads, scale, ALL_DESIGNS)
+    specs = matrix_specs("performance-optimized", workloads, scale, ALL_DESIGNS)
 
     def reduce(results: SpecResults) -> Dict[str, object]:
         matrix = _matrix_of(specs, results)
@@ -212,25 +188,13 @@ def _plan_fig10(
             }
         return {
             "figure": "fig10",
-            "preset": preset,
+            "preset": "performance-optimized",
             "normalized_throughput": normalized,
             "average": _averages(normalized),
             "workloads": list(workloads),
         }
 
     return specs, reduce
-
-
-def fig10_throughput(
-    preset: str = "performance-optimized",
-    scale: ExperimentScale = ExperimentScale(),
-    workloads: Sequence[str] = DEFAULT_WORKLOADS,
-    *,
-    executor=None,
-    store=None,
-) -> Dict[str, object]:
-    specs, reduce = _plan_fig10(preset, scale, workloads)
-    return reduce(execute_specs(specs, executor=executor, store=store))
 
 
 # --------------------------------------------------------------------- #
@@ -276,17 +240,6 @@ def _plan_fig11(
     return specs, reduce
 
 
-def fig11_tail_latency(
-    scale: ExperimentScale = ExperimentScale(),
-    workloads: Sequence[str] = FIG11_WORKLOADS,
-    *,
-    executor=None,
-    store=None,
-) -> Dict[str, object]:
-    specs, reduce = _plan_fig11(scale, workloads)
-    return reduce(execute_specs(specs, executor=executor, store=store))
-
-
 # --------------------------------------------------------------------- #
 # Figure 12: mixed workloads (perf-opt)
 # --------------------------------------------------------------------- #
@@ -318,17 +271,6 @@ def _plan_fig12(
         }
 
     return specs, reduce
-
-
-def fig12_mixed(
-    scale: ExperimentScale = ExperimentScale(),
-    mixes: Optional[Sequence[str]] = None,
-    *,
-    executor=None,
-    store=None,
-) -> Dict[str, object]:
-    specs, reduce = _plan_fig12(scale, mixes)
-    return reduce(execute_specs(specs, executor=executor, store=store))
 
 
 # --------------------------------------------------------------------- #
@@ -366,17 +308,6 @@ def _plan_fig13(
         }
 
     return specs, reduce
-
-
-def fig13_conflicts(
-    scale: ExperimentScale = ExperimentScale(),
-    workloads: Sequence[str] = DEFAULT_WORKLOADS,
-    *,
-    executor=None,
-    store=None,
-) -> Dict[str, object]:
-    specs, reduce = _plan_fig13(scale, workloads)
-    return reduce(execute_specs(specs, executor=executor, store=store))
 
 
 # --------------------------------------------------------------------- #
@@ -419,28 +350,14 @@ def _plan_fig14(
     return specs, reduce
 
 
-def fig14_power_energy(
-    scale: ExperimentScale = ExperimentScale(),
-    workloads: Sequence[str] = DEFAULT_WORKLOADS,
-    *,
-    executor=None,
-    store=None,
-) -> Dict[str, object]:
-    specs, reduce = _plan_fig14(scale, workloads)
-    return reduce(execute_specs(specs, executor=executor, store=store))
-
-
 # --------------------------------------------------------------------- #
 # Figure 15: sensitivity to the flash-controller count (4x16 / 8x8 / 16x4)
 # --------------------------------------------------------------------- #
 
 def _plan_fig15(
-    scale: ExperimentScale,
-    workloads: Optional[Sequence[str]],
-    geometries: Sequence[Tuple[int, int]] = FIG15_GEOMETRIES,
+    scale: ExperimentScale, workloads: Optional[Sequence[str]]
 ) -> Plan:
     workloads = tuple(workloads or DEFAULT_WORKLOADS)
-    geometries = tuple(tuple(geometry) for geometry in geometries)
     per_geometry_specs = {
         geometry: matrix_specs(
             "performance-optimized",
@@ -449,10 +366,10 @@ def _plan_fig15(
             _SENSITIVITY_DESIGNS,
             geometry=geometry,
         )
-        for geometry in geometries
+        for geometry in FIG15_GEOMETRIES
     }
     specs = tuple(
-        spec for geometry in geometries for spec in per_geometry_specs[geometry]
+        spec for group in per_geometry_specs.values() for spec in group
     )
 
     def reduce(results: SpecResults) -> Dict[str, object]:
@@ -464,22 +381,10 @@ def _plan_fig15(
             "figure": "fig15",
             "gmean_speedups": per_geometry,
             "workloads": list(workloads),
-            "geometries": [f"{c}x{w}" for c, w in geometries],
+            "geometries": [f"{c}x{w}" for c, w in FIG15_GEOMETRIES],
         }
 
     return specs, reduce
-
-
-def fig15_sensitivity(
-    scale: ExperimentScale = ExperimentScale(),
-    workloads: Sequence[str] = DEFAULT_WORKLOADS,
-    geometries: Sequence[Tuple[int, int]] = FIG15_GEOMETRIES,
-    *,
-    executor=None,
-    store=None,
-) -> Dict[str, object]:
-    specs, reduce = _plan_fig15(scale, workloads, geometries)
-    return reduce(execute_specs(specs, executor=executor, store=store))
 
 
 # --------------------------------------------------------------------- #
@@ -487,9 +392,9 @@ def fig15_sensitivity(
 # --------------------------------------------------------------------- #
 
 def _plan_table4(
-    scale: ExperimentScale, power_model: Optional[PowerModel] = None
+    scale: ExperimentScale, workloads: Optional[Sequence[str]]
 ) -> Plan:
-    power_model = power_model or PowerModel()
+    power_model = PowerModel()
 
     def reduce(results: SpecResults) -> Dict[str, object]:
         config = build_config("performance-optimized", scale)
@@ -505,14 +410,6 @@ def _plan_table4(
         }
 
     return (), reduce
-
-
-def table4_overheads(
-    scale: ExperimentScale = ExperimentScale(),
-    power_model: PowerModel = PowerModel(),
-) -> Dict[str, object]:
-    _, reduce = _plan_table4(scale, power_model)
-    return reduce({})
 
 
 # --------------------------------------------------------------------- #
@@ -548,21 +445,13 @@ FIGURES: Dict[str, FigureDef] = {
         "traces",
         lambda scale, workloads: _plan_fig9("cost-optimized", scale, workloads),
     ),
-    "fig10": FigureDef(
-        "fig10",
-        "traces",
-        lambda scale, workloads: _plan_fig10(
-            "performance-optimized", scale, workloads
-        ),
-    ),
+    "fig10": FigureDef("fig10", "traces", _plan_fig10),
     "fig11": FigureDef("fig11", "traces", _plan_fig11),
     "fig12": FigureDef("fig12", "mixes", _plan_fig12),
     "fig13": FigureDef("fig13", "traces", _plan_fig13),
     "fig14": FigureDef("fig14", "traces", _plan_fig14),
     "fig15": FigureDef("fig15", "traces", _plan_fig15),
-    "table4": FigureDef(
-        "table4", "none", lambda scale, workloads: _plan_table4(scale)
-    ),
+    "table4": FigureDef("table4", "none", _plan_table4),
 }
 
 FIGURE_NAMES: Tuple[str, ...] = tuple(FIGURES)

@@ -48,6 +48,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
+from repro.atomic import atomic_write_text
 from repro.errors import QueueError
 from repro.experiments.spec import RunSpec
 from repro.experiments.store import ResultStore
@@ -66,9 +67,7 @@ def default_owner_id() -> str:
 
 def _atomic_write_json(path: Path, payload: dict) -> None:
     """Write-then-rename publication (readers never see a torn file)."""
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.{uuid.uuid4().hex[:6]}.tmp")
-    tmp.write_text(json.dumps(payload, indent=1), encoding="utf-8")
-    os.replace(tmp, path)
+    atomic_write_text(path, json.dumps(payload, indent=1))
 
 
 def _read_json(path: Path) -> Optional[dict]:

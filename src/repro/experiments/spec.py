@@ -14,8 +14,9 @@ carries names and knobs, never live objects), it can be
   (design x preset x workload) matrix.
 
 The materialization helpers (``build_config`` / ``trace_for`` / pressure
-acceleration) live here too; :mod:`repro.experiments.runner` re-exports them
-so existing callers keep working.
+acceleration) live here too.  :func:`make_spec` builds one spec and
+:func:`matrix_specs` a (workload x design) slice; the executor
+(:func:`repro.experiments.executor.execute_specs`) runs them.
 """
 
 from __future__ import annotations

@@ -34,6 +34,7 @@ from abc import ABC, abstractmethod
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Union
 
+from repro.atomic import atomic_write_text
 from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.spec import RunSpec
 from repro.metrics.collector import RunResult
@@ -119,18 +120,6 @@ class StoreBackend(ABC):
         return sum(1 for _ in self.digests())
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    """Write-then-rename so a crashed writer never leaves a torn file.
-
-    The temp name carries the writer's pid: two processes writing the same
-    digest concurrently each rename their *own* complete file into place,
-    and either final content is a valid, complete entry.
-    """
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
 def _purge_tree(root: Path) -> int:
     """Delete every file under ``root``; return bytes reclaimed."""
     reclaimed = 0
@@ -164,7 +153,7 @@ class _FileBackend(StoreBackend):
     def write(self, digest: str, text: str) -> None:
         path = self._path(digest)
         path.parent.mkdir(parents=True, exist_ok=True)
-        _atomic_write_text(path, text)
+        atomic_write_text(path, text)
 
     def delete(self, digest: str) -> None:
         path = self._path(digest)
@@ -208,7 +197,7 @@ class _FileBackend(StoreBackend):
             )
             before = path.stat().st_size
             if len(compacted.encode("utf-8")) < before:
-                _atomic_write_text(path, compacted)
+                atomic_write_text(path, compacted)
                 saved += before - path.stat().st_size
         return saved
 

@@ -74,6 +74,10 @@ class WearLeveler:
         self.migrations = 0
         self.swaps_triggered = 0
         self._active = False
+        # needs_leveling's answer and the erase-clock tick it was taken at:
+        # the spread moves only when some block's erase count does.
+        self._checked_at = -1
+        self._spread_exceeded = False
 
     # ------------------------------------------------------------------ #
 
@@ -97,8 +101,18 @@ class WearLeveler:
         return WearStats(min(counts), max(counts), sum(counts) / blocks)
 
     def needs_leveling(self) -> bool:
-        """Whether the wear spread exceeds the leveling threshold."""
-        return self.enabled and self.wear_stats().spread > self.spread_threshold
+        """Whether the wear spread exceeds the leveling threshold.
+
+        Rescans only after an erase or a restore has ticked the array's
+        erase clock since the last answer.
+        """
+        if not self.enabled:
+            return False
+        ticks = self.array.erase_clock.ticks
+        if ticks != self._checked_at:
+            self._checked_at = ticks
+            self._spread_exceeded = self.wear_stats().spread > self.spread_threshold
+        return self._spread_exceeded
 
     def maybe_trigger(self) -> bool:
         """Start one leveling pass if needed and none is already running."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import FrozenSet, Iterator, List, Optional, Tuple
+from typing import AbstractSet, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, RoutingError
 
@@ -127,6 +127,33 @@ class MeshTopology:
             if self.neighbor(a, direction) == b:
                 return direction
         raise RoutingError(f"{a} and {b} are not mesh neighbors")
+
+
+def reachable(
+    topology: MeshTopology,
+    sources: Iterable[Coord],
+    dead_links: AbstractSet[FrozenSet[Coord]] = frozenset(),
+    dead_routers: AbstractSet[Coord] = frozenset(),
+) -> FrozenSet[Coord]:
+    """Routers reachable from ``sources`` over alive links and routers.
+
+    ``dead_links`` holds :func:`edge_key` values.  A dead router is never
+    entered, and a dead source reaches nothing.
+    """
+    frontier = [node for node in sources if node not in dead_routers]
+    seen = set(frontier)
+    while frontier:
+        node = frontier.pop()
+        for _, neighbor in topology.neighbors(node):
+            if (
+                neighbor in seen
+                or neighbor in dead_routers
+                or edge_key(node, neighbor) in dead_links
+            ):
+                continue
+            seen.add(neighbor)
+            frontier.append(neighbor)
+    return frozenset(seen)
 
 
 def xy_path(topology: MeshTopology, source: Coord, destination: Coord) -> List[Coord]:

@@ -7,7 +7,7 @@ from typing import Dict, Iterator, List
 from repro.config.ssd_config import SsdConfig
 from repro.errors import ConfigurationError
 from repro.nand.address import ChipAddress, PhysicalPageAddress
-from repro.nand.chip import FlashBlock, FlashChip, FlashDie, FlashPlane
+from repro.nand.chip import EraseClock, FlashBlock, FlashChip, FlashDie, FlashPlane
 from repro.sim.engine import Engine
 
 
@@ -19,10 +19,14 @@ class FlashArray:
         self.geometry = config.geometry
         self.chips: List[FlashChip] = []
         self._by_address: Dict[ChipAddress, FlashChip] = {}
+        #: Shared by every plane: ticks whenever any block's erase count moves.
+        self.erase_clock = EraseClock()
         for channel in range(self.geometry.channels):
             for way in range(self.geometry.chips_per_channel):
                 address = ChipAddress(channel, way)
-                chip = FlashChip(engine, address, self.geometry, config.timings)
+                chip = FlashChip(
+                    engine, address, self.geometry, config.timings, self.erase_clock
+                )
                 self.chips.append(chip)
                 self._by_address[address] = chip
         # Flat die list for the hot lookup path: chip-major, die-minor.

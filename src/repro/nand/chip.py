@@ -33,6 +33,21 @@ class PageState(enum.Enum):
     INVALID = "invalid"
 
 
+class EraseClock:
+    """Ticks on every erase-count change of the blocks that share it.
+
+    :meth:`FlashBlock.erase` and :meth:`FlashBlock.restore` tick the clock
+    of their plane; one clock serves a whole :class:`FlashArray`.  A view
+    of the erase-count distribution taken at one tick value stays valid
+    until the clock moves.
+    """
+
+    __slots__ = ("ticks",)
+
+    def __init__(self) -> None:
+        self.ticks = 0
+
+
 class FlashBlock:
     """A block: an erase unit holding ``pages_per_block`` pages.
 
@@ -173,6 +188,7 @@ class FlashBlock:
             )
         if self.plane is not None:
             self.plane.allocated_pages -= self.allocation_pointer
+            self.plane.erase_clock.ticks += 1
         self.page_states = [PageState.FREE] * self.pages_per_block
         self.allocation_pointer = 0
         self.programmed_count = 0
@@ -227,6 +243,7 @@ class FlashBlock:
         self._invalid_count = filled - self.valid_count
         if self.plane is not None:
             self.plane.allocated_pages += filled
+            self.plane.erase_clock.ticks += 1
 
 
 class FlashPlane:
@@ -250,9 +267,15 @@ class FlashPlane:
         "programs",
         "erases",
         "allocated_pages",
+        "erase_clock",
     )
 
-    def __init__(self, index: int, geometry: NandGeometry) -> None:
+    def __init__(
+        self,
+        index: int,
+        geometry: NandGeometry,
+        erase_clock: Optional[EraseClock] = None,
+    ) -> None:
         self.index = index
         self.pages_per_block = geometry.pages_per_block
         self.allocated_pages = 0  # maintained by the blocks' pointer moves
@@ -261,6 +284,7 @@ class FlashPlane:
         self.reads = 0
         self.programs = 0
         self.erases = 0
+        self.erase_clock = erase_clock or EraseClock()
 
     def block(self, index: int) -> FlashBlock:
         block = self._blocks[index]
@@ -318,13 +342,15 @@ class FlashDie:
         die_index: int,
         geometry: NandGeometry,
         timings: NandTimings,
+        erase_clock: Optional[EraseClock] = None,
     ) -> None:
         self.chip_address = chip_address
         self.index = die_index
         self.geometry = geometry
         self.timings = timings
         self.planes: List[FlashPlane] = [
-            FlashPlane(plane, geometry) for plane in range(geometry.planes_per_die)
+            FlashPlane(plane, geometry, erase_clock)
+            for plane in range(geometry.planes_per_die)
         ]
         self.resource = Resource(
             engine, f"die({chip_address.channel},{chip_address.way},{die_index})"
@@ -407,12 +433,13 @@ class FlashChip:
         address: ChipAddress,
         geometry: NandGeometry,
         timings: NandTimings,
+        erase_clock: Optional[EraseClock] = None,
     ) -> None:
         self.address = address
         self.geometry = geometry
         self.timings = timings
         self.dies: List[FlashDie] = [
-            FlashDie(engine, address, die, geometry, timings)
+            FlashDie(engine, address, die, geometry, timings, erase_clock)
             for die in range(geometry.dies_per_chip)
         ]
 

@@ -1,7 +1,7 @@
 """``POST /v1/runs`` payloads: validation and canonicalisation.
 
 Submission is a **pure function of the JSON body**: every field resolves
-through :func:`~repro.experiments.runner.make_spec` (or
+through :func:`~repro.experiments.spec.make_spec` (or
 :func:`~repro.fleet.spec.make_fleet_spec`) at acceptance time, exactly the
 way the one-shot CLI resolves its flags, and the resulting canonical spec
 dicts are what the job table persists.  Consequences:
@@ -34,8 +34,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
-from repro.experiments.runner import ExperimentScale, make_spec
-from repro.experiments.spec import RunSpec, canonical_digest
+from repro.experiments.spec import (
+    ExperimentScale,
+    RunSpec,
+    canonical_digest,
+    make_spec,
+)
 from repro.fleet.spec import FleetSpec
 from repro.ssd.factory import design_names
 

@@ -40,6 +40,7 @@ from http.server import ThreadingHTTPServer
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
+from repro.atomic import atomic_write_text
 from repro.errors import ServiceError
 from repro.experiments.executor import Executor, execute_specs
 from repro.experiments.store import ResultStore
@@ -207,10 +208,9 @@ class SimulationService:
             "pid": os.getpid(),
             "started_at": self._started_at,
         }
-        path = self.state_dir / DISCOVERY_FILE
-        tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(payload, indent=1) + "\n")
-        os.replace(tmp, path)
+        atomic_write_text(
+            self.state_dir / DISCOVERY_FILE, json.dumps(payload, indent=1) + "\n"
+        )
 
     def log(self, message: str) -> None:
         """One stderr line per event when ``--verbose``; silent otherwise."""

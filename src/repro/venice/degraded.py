@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Tuple
 
 from repro.errors import RoutingError
-from repro.interconnect.topology import MESH_DIRECTIONS, Coord, edge_key
+from repro.interconnect.topology import Coord, edge_key, reachable
 
 
 class DegradedVenice:
@@ -99,22 +99,9 @@ class DegradedVenice:
     def _bfs_from(self, sources) -> FrozenSet[Coord]:
         """Routers reachable from ``sources`` over alive links and routers."""
         network = self.network
-        dead_links = network._dead_links
-        dead_routers = network._dead_routers
-        topology = network.topology
-        frontier = [point for point in sources if point not in dead_routers]
-        seen = set(frontier)
-        while frontier:
-            node = frontier.pop()
-            for direction in MESH_DIRECTIONS:
-                neighbor = topology.neighbor(node, direction)
-                if neighbor is None or neighbor in seen or neighbor in dead_routers:
-                    continue
-                if edge_key(node, neighbor) in dead_links:
-                    continue
-                seen.add(neighbor)
-                frontier.append(neighbor)
-        return frozenset(seen)
+        return reachable(
+            network.topology, sources, network._dead_links, network._dead_routers
+        )
 
     def alive_reachable(self) -> FrozenSet[Coord]:
         """Routers reachable from *any* alive injection drop over alive links.
@@ -160,32 +147,13 @@ class DegradedVenice:
         """
         if self._components_epoch == self.epoch:
             return self._components
-        network = self.network
-        dead_links = network._dead_links
-        dead_routers = network._dead_routers
-        topology = network.topology
         labels: Dict[Coord, int] = {}
         label = 0
-        for start in network.routers:
-            if start in labels or start in dead_routers:
+        for start in self.network.routers:
+            if start in labels or start in self.network._dead_routers:
                 continue
             label += 1
-            frontier = [start]
-            labels[start] = label
-            while frontier:
-                node = frontier.pop()
-                for direction in MESH_DIRECTIONS:
-                    neighbor = topology.neighbor(node, direction)
-                    if (
-                        neighbor is None
-                        or neighbor in labels
-                        or neighbor in dead_routers
-                    ):
-                        continue
-                    if edge_key(node, neighbor) in dead_links:
-                        continue
-                    labels[neighbor] = label
-                    frontier.append(neighbor)
+            labels.update(dict.fromkeys(self._bfs_from((start,)), label))
         self._components = labels
         self._components_epoch = self.epoch
         return labels

@@ -2,25 +2,15 @@
 
 These assert the *shape* properties DESIGN.md targets: orderings and
 qualitative relations per figure, not absolute numbers.  They use a tiny
-scale so the whole module stays fast; the benchmarks run the same functions
-at larger scale.
+scale so the whole module stays fast; the benchmarks run the same
+registered figures through ``run_figure`` at larger scale.
 """
 
 import pytest
 
-from repro.experiments.figures import (
-    fig4_motivation,
-    fig9_speedup,
-    fig10_throughput,
-    fig11_tail_latency,
-    fig12_mixed,
-    fig13_conflicts,
-    fig14_power_energy,
-    fig15_sensitivity,
-    table4_overheads,
-)
+from repro.experiments.figures import run_figure
 from repro.experiments.reporting import format_table, geometric_mean, speedup_table
-from repro.experiments.runner import ExperimentScale
+from repro.experiments.spec import ExperimentScale
 
 TINY = ExperimentScale(
     requests=150,
@@ -33,11 +23,11 @@ WORKLOADS = ("proj_3", "YCSB_B")
 
 @pytest.fixture(scope="module")
 def fig9a():
-    return fig9_speedup("performance-optimized", TINY, WORKLOADS)
+    return run_figure("fig9a", TINY, WORKLOADS)
 
 
 def test_fig4_ideal_dominates_priors():
-    result = fig4_motivation(TINY, WORKLOADS)
+    result = run_figure("fig4", TINY, WORKLOADS)
     gmean = result["gmean"]
     assert gmean["ideal"] >= gmean["pssd"]
     assert gmean["ideal"] >= gmean["pnssd"]
@@ -57,7 +47,7 @@ def test_fig9a_contains_all_designs_per_workload(fig9a):
 
 
 def test_fig10_normalized_throughput_at_most_one():
-    result = fig10_throughput("performance-optimized", TINY, WORKLOADS)
+    result = run_figure("fig10", TINY, WORKLOADS)
     for values in result["normalized_throughput"].values():
         for design, normalized in values.items():
             assert 0 < normalized <= 1.02, (design, normalized)
@@ -65,7 +55,7 @@ def test_fig10_normalized_throughput_at_most_one():
 
 
 def test_fig11_venice_cuts_tail_latency():
-    result = fig11_tail_latency(TINY, workloads=("proj_3",))
+    result = run_figure("fig11", TINY, ("proj_3",))
     reduction = result["reduction_vs_baseline"]["proj_3"]
     assert reduction["venice"] > 0  # lower p99 than baseline
     assert result["p99_ns"]["proj_3"]["ideal"] <= result["p99_ns"]["proj_3"]["baseline"]
@@ -74,13 +64,13 @@ def test_fig11_venice_cuts_tail_latency():
 
 
 def test_fig12_mixes_run_and_venice_gains(tmp_path):
-    result = fig12_mixed(TINY, mixes=("mix1",))
+    result = run_figure("fig12", TINY, ("mix1",))
     assert result["gmean"]["venice"] > 1.0
     assert result["gmean"]["ideal"] >= result["gmean"]["venice"] * 0.9
 
 
 def test_fig13_venice_conflicts_far_below_priors():
-    result = fig13_conflicts(TINY, WORKLOADS)
+    result = run_figure("fig13", TINY, WORKLOADS)
     average = result["average"]
     assert average["venice"] < average["baseline"]
     assert average["venice"] < average["pssd"]
@@ -89,7 +79,7 @@ def test_fig13_venice_conflicts_far_below_priors():
 
 
 def test_fig14_energy_tracks_execution_time():
-    result = fig14_power_energy(TINY, WORKLOADS)
+    result = run_figure("fig14", TINY, WORKLOADS)
     # Venice finishes faster at similar power => lower energy than baseline.
     assert result["average_energy"]["venice"] < 1.0
     # Power stays within a small band of the baseline (flash ops dominate).
@@ -97,17 +87,16 @@ def test_fig14_energy_tracks_execution_time():
 
 
 def test_fig15_all_geometries_report():
-    result = fig15_sensitivity(
-        TINY, workloads=("proj_3",), geometries=((4, 16), (8, 8))
-    )
-    assert set(result["gmean_speedups"]) == {"4x16", "8x8"}
+    result = run_figure("fig15", TINY, ("proj_3",))
+    assert set(result["gmean_speedups"]) == {"4x16", "8x8", "16x4"}
+    assert result["geometries"] == ["4x16", "8x8", "16x4"]
     for geometry, gmeans in result["gmean_speedups"].items():
         assert "venice" in gmeans
         assert "pnssd" not in gmeans or geometry == "8x8"
 
 
 def test_table4_reproduces_paper_arithmetic():
-    result = table4_overheads(TINY)
+    result = run_figure("table4", TINY)
     assert result["router_power_mw"] == pytest.approx(0.241)
     assert result["link_power_mw_4kb_transfer"] == pytest.approx(1.08)
     assert result["link_vs_channel_power_saving"] == pytest.approx(0.9, abs=0.01)

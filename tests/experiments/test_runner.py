@@ -1,19 +1,18 @@
-"""Runner machinery tests: pressure metric, acceleration, suites."""
+"""Spec-layer run machinery: pressure metric, acceleration, design slices."""
 
 import pytest
 
-from repro.config.ssd_config import DesignKind
-from repro.experiments.runner import (
+from repro.experiments.spec import (
     ALL_DESIGNS,
     ExperimentScale,
     accelerate_to_pressure,
     build_config,
     channel_pressure,
     footprint_for,
-    run_design_suite,
-    run_suite,
+    matrix_specs,
     trace_for,
 )
+from repro.ssd.device import SsdDevice
 from repro.workloads.catalog import generate_workload
 
 SCALE = ExperimentScale(requests=120, blocks_per_plane=8, pages_per_block=8)
@@ -77,19 +76,20 @@ def test_trace_for_mix_uses_table3_constituents():
     assert {r.queue_id for r in trace.requests} == {0, 1}
 
 
-def test_run_design_suite_skips_pnssd_on_rectangular_arrays():
-    config = build_config("performance-optimized", SCALE).with_geometry(4, 16)
-    trace = trace_for("proj_3", config, SCALE)
-    results = run_design_suite(config, trace, SCALE, ALL_DESIGNS)
-    assert "pnssd" not in results
-    assert "venice" in results
-    assert "baseline" in results
+def test_matrix_specs_skip_pnssd_on_rectangular_arrays():
+    specs = matrix_specs("performance-optimized", ("proj_3",), SCALE, geometry=(4, 16))
+    designs = [spec.design for spec in specs]
+    assert "pnssd" not in designs
+    assert "venice" in designs
+    assert "baseline" in designs
 
 
-def test_run_suite_matches_materialized_design_suite():
-    """The declarative (spec-based) path reproduces the materialized path."""
+@pytest.mark.parametrize("design", ALL_DESIGNS, ids=lambda design: design.value)
+def test_spec_execute_matches_a_hand_built_device(design):
+    """A spec run equals a device built by hand from the same config and trace."""
     config = build_config("performance-optimized", SCALE)
     trace = trace_for("proj_3", config, SCALE)
-    materialized = run_design_suite(config, trace, SCALE, ALL_DESIGNS)
-    declarative = run_suite("performance-optimized", "proj_3", SCALE)
-    assert declarative == materialized
+    (spec,) = matrix_specs("performance-optimized", ("proj_3",), SCALE, (design,))
+    device = SsdDevice(config, design, queue_pairs=SCALE.queue_pairs)
+    expected = device.run_trace(trace.requests, trace.name)
+    assert spec.execute() == expected

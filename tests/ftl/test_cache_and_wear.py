@@ -111,6 +111,26 @@ def test_wear_spread_detection():
     assert device.wear_leveler.needs_leveling()
 
 
+def test_needs_leveling_rescans_only_after_an_erase_count_moves(monkeypatch):
+    device = make_device()
+    leveler = device.wear_leveler
+    assert not leveler.needs_leveling()
+    scans = []
+    scan = leveler.wear_stats
+    monkeypatch.setattr(leveler, "wear_stats", lambda: scans.append(1) or scan())
+    plane = device.ftl.allocator.plane(0)
+    assert not leveler.needs_leveling()
+    assert scans == []  # nothing erased since the last answer
+    for _ in range(leveler.spread_threshold + 1):
+        plane.block(0).erase()
+    assert leveler.needs_leveling()
+    assert leveler.needs_leveling()
+    assert len(scans) == 1
+    plane.block(1).restore("v", 40)  # a checkpoint restore moves it too
+    assert leveler.needs_leveling()
+    assert len(scans) == 2
+
+
 def test_wear_leveling_disabled_never_triggers():
     device = make_device(enable_wear=False)
     plane = device.ftl.allocator.plane(0)

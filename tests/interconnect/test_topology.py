@@ -9,6 +9,7 @@ from repro.interconnect.topology import (
     MeshTopology,
     edge_key,
     path_edges,
+    reachable,
     xy_path,
 )
 
@@ -116,3 +117,20 @@ def test_path_edges_are_unique(source, destination):
 def test_xy_path_rejects_outside():
     with pytest.raises(RoutingError):
         xy_path(MESH, (0, 0), (9, 9))
+
+
+def test_reachable_respects_dead_links_and_routers():
+    mesh = MeshTopology(3, 3)
+    assert reachable(mesh, [(0, 0)]) == frozenset(
+        (row, col) for row in range(3) for col in range(3)
+    )
+    # Cutting both links of the corner isolates it.
+    corner = {edge_key((2, 2), (1, 2)), edge_key((2, 2), (2, 1))}
+    assert (2, 2) not in reachable(mesh, [(0, 0)], corner)
+    assert reachable(mesh, [(2, 2)], corner) == {(2, 2)}
+    # A dead router is never entered, and a dead source reaches nothing.
+    middle_column = {(0, 1), (1, 1), (2, 1)}
+    assert reachable(mesh, [(0, 0)], dead_routers=middle_column) == {
+        (0, 0), (1, 0), (2, 0)
+    }
+    assert reachable(mesh, [(1, 1)], dead_routers={(1, 1)}) == frozenset()
